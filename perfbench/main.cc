@@ -6,12 +6,9 @@
 //   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //             --serve-bin <path to cspm_serve> --work-dir <dir>
 //
-// Workloads (the first two are the ones BENCHMARK.json runs; NOTES.md says
-// why the serve workloads are kept for hand runs only):
+// Workloads:
 //   mine-pokec8k   cold mine + save, then an exact re-mine at 1% dirty
 //   churn-pokec8k  fixed-rate scores beside a fixed schedule of kFast updates
-//   serve-pokec8k  the mined n=8000 model served over CSN1, 8-vertex frames
-//   serve-dblp     the DBLP-like model served over CSN1, 1-vertex frames
 //
 // --trace 0 measures the end-to-end metrics. --trace 1 prints the per-layer
 // metrics instead: every one is either a timed call into a public function
@@ -67,6 +64,13 @@ namespace net = cspm::net;
 namespace store = cspm::store;
 
 constexpr uint32_t kPokecVertices = 8000;
+/// The served score stream: model name, vertices per frame, k, and the
+/// offered load in vertices/s (absolute, so a faster server shows lower
+/// latency at the same load).
+constexpr const char* kModel = "pokec8k";
+constexpr uint32_t kVerticesPerFrame = 8;
+constexpr uint32_t kTopK = 10;
+constexpr double kScoreRateVps = 600;
 constexpr size_t kConnections = 4;
 /// Vertices checked bit-for-bit against in-process scoring per run.
 constexpr size_t kCheckSample = 64;
@@ -89,8 +93,7 @@ void Say(const char* fmt, ...) {
 
 /// What one open-loop phase did, split by verb.
 struct PhaseSummary {
-  uint64_t attempted = 0, ok = 0, overloaded = 0, errors = 0, unanswered = 0,
-           unsent = 0;
+  uint64_t attempted = 0, ok = 0, overloaded = 0, errors = 0, unanswered = 0;
   std::vector<double> score_ms;   ///< OK score replies, from due time
   std::vector<double> update_ms;  ///< OK update replies, from due time
   std::vector<double> lateness_ms;
@@ -98,7 +101,6 @@ struct PhaseSummary {
   /// steadiness).
   std::vector<double> window_p50_ms;
   std::vector<double> window_p99_ms;
-  uint64_t failed() const { return overloaded + errors + unanswered + unsent; }
 };
 
 /// Collects the metrics, failures and checks of one run and prints the
@@ -122,16 +124,15 @@ class Report {
         name.c_str(), value, unit.c_str(), samples.size(), Median(samples),
         q1, q3);
   }
-  /// Operations outside the open loop that succeeded: mines, re-mines,
-  /// closed-loop frames (a failure there ends the run).
+  /// Operations outside the open loop that succeeded: mines and re-mines
+  /// (a failure there ends the run).
   void Operations(uint64_t succeeded) {
     attempted_ += succeeded;
     ok_ += succeeded;
   }
-  /// One open-loop phase. Requests a capacity probe never sent (it stopped
-  /// early) were not attempted.
+  /// One open-loop phase.
   void Phase(const PhaseSummary& s) {
-    attempted_ += s.attempted - s.unsent;
+    attempted_ += s.attempted;
     ok_ += s.ok;
     overloaded_ += s.overloaded;
     errors_ += s.errors;
@@ -299,31 +300,13 @@ double SpanMeanMs(const char* name) {
 
 // --- open-loop traffic ---------------------------------------------------------
 
-/// Traffic shape of one serving workload.
-struct ServeSpec {
-  std::string model;
-  uint32_t vertices_per_frame = 8;
-  uint32_t k = 10;
-  /// Offered load of the fixed-rate phase, vertices/s (absolute, so a
-  /// faster server shows lower latency at the same load).
-  double fixed_rate_vps = 0;
-  /// p99 limit a capacity probe must meet.
-  double p99_limit_ms = 0;
-  /// Whether score_capacity_vps and score_p50_ms go into the result (and
-  /// so are held to their bounds) or are only printed: NOTES.md has the
-  /// spreads that decided it.
-  bool gate_capacity = true;
-  bool gate_p50 = true;
-};
-
-/// One score request for `vertices_per_frame` vertex ids drawn uniformly
-/// over the graph.
-std::string RandomScorePayload(Rng& rng, const ServeSpec& spec,
-                               uint32_t num_vertices) {
+/// One score request for kVerticesPerFrame vertex ids drawn uniformly over
+/// the graph.
+std::string RandomScorePayload(Rng& rng, uint32_t num_vertices) {
   net::ScoreRequest req;
-  req.model = spec.model;
-  req.k = spec.k;
-  for (uint32_t j = 0; j < spec.vertices_per_frame; ++j) {
+  req.model = kModel;
+  req.k = kTopK;
+  for (uint32_t j = 0; j < kVerticesPerFrame; ++j) {
     req.vertices.push_back(
         VertexId(static_cast<uint32_t>(rng.Uniform(num_vertices))));
   }
@@ -334,20 +317,18 @@ std::string RandomScorePayload(Rng& rng, const ServeSpec& spec,
 /// uniformly over [0, seconds) — a Poisson process conditioned on its
 /// count, so the offered rate is exact) with vertex ids uniform over the
 /// graph.
-void AddScoreArrivals(Rng& rng, const ServeSpec& spec, uint32_t num_vertices,
-                      double rate_vps, double seconds,
+void AddScoreArrivals(Rng& rng, uint32_t num_vertices, double seconds,
                       std::vector<Arrival>* arrivals,
                       std::vector<std::string>* payloads) {
   const auto count = static_cast<size_t>(
-      std::llround(rate_vps * seconds / spec.vertices_per_frame));
+      std::llround(kScoreRateVps * seconds / kVerticesPerFrame));
   for (size_t i = 0; i < count; ++i) {
     Arrival a;
     a.due_ns = static_cast<uint64_t>(seconds * rng.UniformDouble() * 1e9);
     a.payload = static_cast<uint32_t>(payloads->size());
-    a.vertices = spec.vertices_per_frame;
     a.verb = net::Verb::kScore;
     arrivals->push_back(a);
-    payloads->push_back(RandomScorePayload(rng, spec, num_vertices));
+    payloads->push_back(RandomScorePayload(rng, num_vertices));
   }
 }
 
@@ -384,7 +365,6 @@ PhaseSummary Summarize(const std::vector<Arrival>& arrivals,
       case Outcome::kOverloaded: ++s.overloaded; break;
       case Outcome::kError: ++s.errors; break;
       case Outcome::kUnanswered: ++s.unanswered; break;
-      case Outcome::kUnsent: ++s.unsent; break;
     }
     if (std::isfinite(r.lateness_ms[i])) s.lateness_ms.push_back(r.lateness_ms[i]);
   }
@@ -396,38 +376,34 @@ PhaseSummary Summarize(const std::vector<Arrival>& arrivals,
   return s;
 }
 
-void PrintPhase(const char* name, const PhaseSummary& s, double offered_vps) {
+void PrintPhase(const char* name, const PhaseSummary& s) {
   Say("phase %s: offered=%.1f vertices/s attempted=%llu ok=%llu "
-      "overloaded=%llu error=%llu unanswered=%llu unsent=%llu | "
+      "overloaded=%llu error=%llu unanswered=%llu | "
       "score p50=%.3f p99=%.3f ms (n=%zu) window-median p99=%.3f ms | "
       "generator lateness p50=%.3f p99=%.3f ms",
-      name, offered_vps, static_cast<unsigned long long>(s.attempted),
+      name, kScoreRateVps, static_cast<unsigned long long>(s.attempted),
       static_cast<unsigned long long>(s.ok),
       static_cast<unsigned long long>(s.overloaded),
       static_cast<unsigned long long>(s.errors),
-      static_cast<unsigned long long>(s.unanswered),
-      static_cast<unsigned long long>(s.unsent), Percentile(s.score_ms, 0.5),
+      static_cast<unsigned long long>(s.unanswered), Percentile(s.score_ms, 0.5),
       Percentile(s.score_ms, 0.99), s.score_ms.size(), Median(s.window_p99_ms),
       Percentile(s.lateness_ms, 0.5), Percentile(s.lateness_ms, 0.99));
 }
 
-/// Arrival indices of score frames to check, seeded.
-std::vector<uint32_t> PickCapture(Rng& rng, const std::vector<Arrival>& arrivals,
-                                  size_t want_vertices) {
-  std::vector<uint32_t> scores;
-  for (uint32_t i = 0; i < arrivals.size(); ++i) {
-    if (arrivals[i].verb == net::Verb::kScore) scores.push_back(i);
+/// True when both models hold the same a-stars, code lengths bit for bit.
+bool SameAStars(const cspm::core::CspmModel& a, const cspm::core::CspmModel& b) {
+  if (a.astars.size() != b.astars.size()) return false;
+  for (size_t i = 0; i < a.astars.size(); ++i) {
+    const cspm::core::AStar& x = a.astars[i];
+    const cspm::core::AStar& y = b.astars[i];
+    if (x.core_values != y.core_values || x.leaf_values != y.leaf_values ||
+        x.frequency != y.frequency ||
+        std::memcmp(&x.code_length_bits, &y.code_length_bits,
+                    sizeof(double)) != 0) {
+      return false;
+    }
   }
-  rng.Shuffle(&scores);
-  std::vector<uint32_t> picked;
-  size_t vertices = 0;
-  for (uint32_t i : scores) {
-    if (vertices >= want_vertices) break;
-    picked.push_back(i);
-    vertices += arrivals[i].vertices;
-  }
-  std::sort(picked.begin(), picked.end());
-  return picked;
+  return true;
 }
 
 /// True when `wire` (a score reply payload) is bit-identical to the
@@ -451,67 +427,31 @@ bool SameReply(const std::string& wire,
   return true;
 }
 
-/// Checks every captured reply of a phase against in-process
-/// ScoreBatch + TopKScores on `session`.
-void CheckCaptured(Report& report, const engine::MiningSession& session,
-                   const std::vector<Arrival>& arrivals,
-                   const std::vector<std::string>& payloads,
-                   const std::vector<uint32_t>& capture,
-                   const OpenLoopResult& r) {
-  size_t checked = 0;
-  size_t mismatched = 0;
-  for (size_t c = 0; c < capture.size(); ++c) {
-    const uint32_t idx = capture[c];
-    if (r.outcome[idx] != Outcome::kOk) continue;  // already a failed request
-    auto req = net::DecodeScoreRequest(payloads[arrivals[idx].payload]);
-    ++checked;
-    if (!req.ok()) {
-      ++mismatched;
-      continue;
-    }
-    auto expected = session.ScoreBatch(req->vertices);
-    if (!expected.ok() || !SameReply(r.captured[c], *expected, req->k)) {
-      ++mismatched;
-    }
-  }
-  Say("check: %zu sampled wire replies vs in-process ScoreBatch + TopKScores: "
-      "%zu mismatched",
-      checked, mismatched);
-  report.Check(checked > 0 && mismatched == 0,
-               "wire replies bit-identical to in-process scoring");
-}
-
 // --- served-model set-up -------------------------------------------------------
-
-StatusOr<AttributedGraph> MakeGraph(const std::string& workload, uint64_t seed) {
-  if (workload == "serve-dblp") return cspm::datasets::MakeDblpLike(seed);
-  return cspm::datasets::MakePokecLike(seed, kPokecVertices);
-}
 
 /// A mined model saved to a store and served by a cspm_serve child.
 struct Served {
   std::shared_ptr<const AttributedGraph> graph;
-  std::optional<engine::MiningSession> session;
   std::string store_path;
   std::unique_ptr<ServerProcess> server;
   Conns conns;
 };
 
-/// Set-up of the serving workloads: inputs from the seed, mine, save, start
-/// the server, connect and ping every connection.
-StatusOr<Served> SetUpServed(const Args& args, const std::string& model,
-                             const std::string& tag) {
+/// Set-up of a served workload: the pokec stand-in from the seed, mined and
+/// saved with its graph snapshot; then the server is started on that store
+/// and every connection pinged.
+StatusOr<Served> SetUpServed(const Args& args) {
   Served s;
-  CSPM_ASSIGN_OR_RETURN(AttributedGraph g, MakeGraph(args.workload, args.seed));
+  CSPM_ASSIGN_OR_RETURN(AttributedGraph g,
+                        cspm::datasets::MakePokecLike(args.seed, kPokecVertices));
   s.graph = std::make_shared<const AttributedGraph>(std::move(g));
   CSPM_ASSIGN_OR_RETURN(engine::MiningSession session,
                         engine::MiningSession::Create(s.graph,
                                                       ShippedMiningOptions()));
   CSPM_RETURN_IF_ERROR(session.Mine());
-  s.session.emplace(std::move(session));
-  s.store_path = StorePath(args, tag);
+  s.store_path = StorePath(args, "served");
   std::remove(s.store_path.c_str());
-  CSPM_RETURN_IF_ERROR(s.session->SaveModel(s.store_path, ServableSave(model)));
+  CSPM_RETURN_IF_ERROR(session.SaveModel(s.store_path, ServableSave(kModel)));
   CSPM_ASSIGN_OR_RETURN(s.server,
                         ServerProcess::Start(args.serve_bin, s.store_path));
   CSPM_ASSIGN_OR_RETURN(s.conns, Connect(s.server->port(), kConnections));
@@ -526,12 +466,12 @@ StatusOr<Served> SetUpServed(const Args& args, const std::string& model,
 
 /// A few synchronous scores so the server has mapped the plan pages and
 /// built its engine before anything is timed.
-Status WarmUp(Served& s, const ServeSpec& spec, Rng& rng) {
+Status WarmUp(Served& s, Rng& rng) {
   for (size_t i = 0; i < 16; ++i) {
     CSPM_ASSIGN_OR_RETURN(
         net::Frame reply,
         Call(*s.conns[i % kConnections], net::Verb::kScore,
-             RandomScorePayload(rng, spec, s.graph->num_vertices().value())));
+             RandomScorePayload(rng, s.graph->num_vertices().value())));
     if (reply.status != net::WireStatus::kOk) {
       return Status::Internal("warm-up score refused");
     }
@@ -579,8 +519,7 @@ void AddServerLayers(Report& report, const std::string& before,
 /// the score ledger: those stages plus the server's batch wait against the
 /// client p50. False if a call fails.
 bool AddScoreLayers(Report& report, const AttributedGraph& graph,
-                    const std::string& store_path, const std::string& model,
-                    uint32_t vertices_per_frame,
+                    const std::string& store_path,
                     const std::vector<Arrival>& arrivals,
                     const std::vector<std::string>& payloads,
                     const std::string& server_metrics, double client_p50_ms) {
@@ -590,7 +529,7 @@ bool AddScoreLayers(Report& report, const AttributedGraph& graph,
     WallTimer t;
     auto st = store::ModelStore::Open(store_path);
     if (!st.ok()) return false;
-    auto p = st->OpenPlan(model);
+    auto p = st->OpenPlan(kModel);
     open_ms.push_back(t.ElapsedMillis());
     if (!p.ok()) return false;
     plan = *p;
@@ -598,14 +537,14 @@ bool AddScoreLayers(Report& report, const AttributedGraph& graph,
   // The sample: the vertices of the traced phase, in order.
   std::vector<VertexId> sample;
   std::vector<net::ScoreRequest> requests;
-  const size_t max_vertices = vertices_per_frame > 1 ? 2048 : 16384;
+  constexpr size_t kMaxVertices = 2048;
   for (const Arrival& a : arrivals) {
     if (a.verb != net::Verb::kScore) continue;
     auto req = net::DecodeScoreRequest(payloads[a.payload]);
     if (!req.ok()) return false;
     sample.insert(sample.end(), req->vertices.begin(), req->vertices.end());
     requests.push_back(std::move(req).value());
-    if (sample.size() >= max_vertices) break;
+    if (sample.size() >= kMaxVertices) break;
   }
   const double nv = static_cast<double>(sample.size());
   std::vector<std::vector<cspm::core::AttrId>> neighbourhoods(sample.size());
@@ -701,7 +640,7 @@ bool AddScoreLayers(Report& report, const AttributedGraph& graph,
   const double wait_us =
       SnapshotNumber(server_metrics, "histograms", "net.batch.wait", "p50_ns") /
       1e3;
-  const double vpf = vertices_per_frame;
+  const double vpf = kVerticesPerFrame;
   const double sum_ms = (Median(parse_us) + wait_us +
                          vpf * (Median(gather_us) + Median(score_into_us)) +
                          Median(encode_us)) /
@@ -719,27 +658,21 @@ bool AddScoreLayers(Report& report, const AttributedGraph& graph,
 
 // --- workload: mine-pokec8k ----------------------------------------------------
 
-int RunMine(const Args& args, Report& report, const WallTimer& clock) {
-  // Set-up is cheap here (inputs only), so it is repeated and the median
-  // reported.
-  std::vector<double> setup_s;
-  AttributedGraph graph;
-  GraphDelta delta;
-  for (int rep = 0; rep < 5; ++rep) {
-    WallTimer t;
-    auto g = cspm::datasets::MakePokecLike(args.seed, kPokecVertices);
-    // 40 edge rewires dirty ~80 vertices: 1% of n=8000.
-    auto d = g.ok() ? cspm::graph::MakeRandomEdgeRewires(*g, 40, args.seed ^ 0x5eed)
-                    : StatusOr<GraphDelta>(g.status());
-    if (!d.ok()) {
-      std::fprintf(stderr, "perfbench: %s\n", d.status().ToString().c_str());
-      return 2;
-    }
-    graph = std::move(g).value();
-    delta = std::move(d).value();
-    setup_s.push_back(rep == 0 ? clock.ElapsedSeconds() : t.ElapsedSeconds());
+int RunMine(const Args& args, Report& report) {
+  // Set-up here is only the generation of test inputs (~15 ms), none of
+  // the work an operator waits for, so this workload reports no setup_s:
+  // NOTES.md has the spread that decided it.
+  auto graph = cspm::datasets::MakePokecLike(args.seed, kPokecVertices);
+  // 40 edge rewires dirty ~80 vertices: 1% of n=8000.
+  auto delta = graph.ok() ? cspm::graph::MakeRandomEdgeRewires(
+                                *graph, 40, args.seed ^ 0x5eed)
+                          : StatusOr<GraphDelta>(graph.status());
+  if (!delta.ok()) {
+    std::fprintf(stderr, "perfbench: %s\n", delta.status().ToString().c_str());
+    return 2;
   }
-  const auto shared = std::make_shared<const AttributedGraph>(std::move(graph));
+  const auto shared =
+      std::make_shared<const AttributedGraph>(std::move(graph).value());
   const std::string path = StorePath(args, "mine");
 
   std::vector<double> mine_s, mine_only_s, remine_s, candidate_gen_s,
@@ -785,7 +718,7 @@ int RunMine(const Args& args, Report& report, const WallTimer& clock) {
 
     engine::UpdateStats ustats;
     WallTimer r;
-    st = session->ApplyUpdates(delta, engine::UpdateMode::kExact, &ustats);
+    st = session->ApplyUpdates(*delta, engine::UpdateMode::kExact, &ustats);
     remine_s.push_back(r.ElapsedSeconds());
     report.Operations(1);
     if (!st.ok()) {
@@ -817,7 +750,6 @@ int RunMine(const Args& args, Report& report, const WallTimer& clock) {
   }
 
   if (!args.trace) {
-    report.Add("setup_s", "s", Median(setup_s), setup_s);
     report.Add("peak_rss_mb", "MiB", peak_rss);
     report.Add("mine_s", "s", Median(mine_s), mine_s);
     report.Add("remine_exact_s", "s", Median(remine_s), remine_s);
@@ -901,211 +833,6 @@ int RunMine(const Args& args, Report& report, const WallTimer& clock) {
   return 0;
 }
 
-// --- workloads: serve-pokec8k, serve-dblp ------------------------------------
-
-/// Pass rule: every request sent and answered OK (no OVERLOADED), p99
-/// within the limit, and no growing backlog — the median latency of the
-/// last quarter of the probe may not exceed twice that of the first
-/// quarter plus a tenth of the limit.
-bool ProbePasses(const ServeSpec& spec, const std::vector<Arrival>& arrivals,
-                 const OpenLoopResult& r, const PhaseSummary& s) {
-  if (r.aborted || s.failed() > 0) return false;
-  if (Percentile(s.score_ms, 0.99) > spec.p99_limit_ms) return false;
-  const size_t q = arrivals.size() / 4;
-  if (q == 0) return true;
-  std::vector<double> first(r.latency_ms.begin(), r.latency_ms.begin() + q);
-  std::vector<double> last(r.latency_ms.end() - q, r.latency_ms.end());
-  return Median(last) <= 2 * Median(first) + spec.p99_limit_ms / 10;
-}
-
-int RunServe(const Args& args, Report& report, const WallTimer& clock,
-             const ServeSpec& spec, int setup_reps) {
-  // Set-up, repeated when it is cheap; the last one serves the run.
-  std::vector<double> setup_s;
-  std::optional<Served> served;
-  for (int rep = 0; rep < setup_reps; ++rep) {
-    if (served) {
-      (void)served->server->Stop();
-      served.reset();
-    }
-    WallTimer t;
-    auto s = SetUpServed(args, spec.model, "serve" + std::to_string(rep));
-    Rng rng = Stream(args.seed, 1);
-    Status st = s.ok() ? WarmUp(*s, spec, rng) : s.status();
-    if (!st.ok()) {
-      std::fprintf(stderr, "perfbench: set-up failed: %s\n",
-                   st.ToString().c_str());
-      return 2;
-    }
-    served.emplace(std::move(s).value());
-    setup_s.push_back(rep == 0 ? clock.ElapsedSeconds() : t.ElapsedSeconds());
-  }
-  Served& s = *served;
-  const uint32_t n = s.graph->num_vertices().value();
-  Say("set-up: %u vertices, %llu edges, %zu a-stars, server on port %u",
-      n, static_cast<unsigned long long>(s.graph->num_edges()),
-      s.session->model().astars.size(), unsigned{s.server->port()});
-
-  const auto run_phase = [&](uint64_t phase, double rate, double seconds,
-                             uint64_t abort_at, std::vector<uint32_t>* capture,
-                             OpenLoopResult* r, std::vector<Arrival>* arrivals,
-                             std::vector<std::string>* payloads) {
-    Rng rng = Stream(args.seed, phase);
-    AddScoreArrivals(rng, spec, n, rate, seconds, arrivals, payloads);
-    Finalize(arrivals);
-    OpenLoopOptions opts;
-    opts.abort_outstanding_vertices = abort_at;
-    if (capture != nullptr) {
-      *capture = PickCapture(rng, *arrivals, kCheckSample);
-      opts.capture = *capture;
-    }
-    *r = RunOpenLoop(s.conns, *arrivals, *payloads, opts);
-    return Summarize(*arrivals, *r);
-  };
-
-  double capacity = 0;
-  if (!args.trace) {
-    // Capacity: a closed-loop estimate, then bisection on open-loop probes.
-    const double probe_s =
-        std::max(1.0, (0.5 * args.seconds - 1.0) / 5.0 - 0.2);
-    std::vector<std::string> closed_payloads;
-    Rng rng = Stream(args.seed, 2);
-    for (int i = 0; i < 256; ++i) {
-      closed_payloads.push_back(RandomScorePayload(rng, spec, n));
-    }
-    // ~512 vertices in flight: enough to saturate the executor, an eighth
-    // of the shipped admission bound.
-    uint64_t closed_frames = 0;
-    auto closed = RunClosedLoop(s.conns, closed_payloads, spec.vertices_per_frame,
-                                512 / (kConnections * spec.vertices_per_frame),
-                                1.0, &closed_frames);
-    if (!closed.ok()) {
-      std::fprintf(stderr, "perfbench: %s\n", closed.status().ToString().c_str());
-      return 2;
-    }
-    report.Operations(closed_frames);
-    double lo = 0.5 * *closed;
-    double hi = 1.25 * *closed;
-    bool lo_verified = false;
-    uint64_t probe_phase = 10;
-    const auto probe = [&](double rate) {
-      std::vector<Arrival> arrivals;
-      std::vector<std::string> payloads;
-      OpenLoopResult r;
-      PhaseSummary sum = run_phase(probe_phase++, rate, probe_s,
-                                   /*abort_at=*/1024, nullptr, &r, &arrivals,
-                                   &payloads);
-      report.Phase(sum);
-      const bool pass = ProbePasses(spec, arrivals, r, sum);
-      Say("probe %.1f vertices/s: %s (p99 %.3f ms, overloaded %llu, "
-          "aborted %d, lateness p99 %.3f ms)",
-          rate, pass ? "pass" : "fail", Percentile(sum.score_ms, 0.99),
-          static_cast<unsigned long long>(sum.overloaded), r.aborted ? 1 : 0,
-          Percentile(sum.lateness_ms, 0.99));
-      return pass;
-    };
-    Say("capacity: closed-loop estimate %.1f vertices/s; bisecting [%.1f, "
-        "%.1f] with %.2f s probes, p99 limit %.1f ms",
-        *closed, lo, hi, probe_s, spec.p99_limit_ms);
-    for (int i = 0; i < 5; ++i) {
-      const double mid = (lo + hi) / 2;
-      if (probe(mid)) {
-        lo = mid;
-        lo_verified = true;
-      } else {
-        hi = mid;
-      }
-    }
-    for (int i = 0; i < 4 && !lo_verified; ++i) {
-      if (probe(lo)) {
-        lo_verified = true;
-      } else {
-        hi = lo;
-        lo /= 2;
-      }
-    }
-    capacity = lo_verified ? lo : 0;
-    Say("capacity: %.1f vertices/s (next probe up failed at %.1f; "
-        "resolution %.1f%%)",
-        capacity, hi, 100.0 * (hi - lo) / hi);
-  }
-
-  // Fixed-rate phase(s). A traced run measures the phase twice — untraced,
-  // then with the server's registry read around it — and reports the
-  // difference as the tracing overhead.
-  const double fixed_s = args.trace ? std::max(1.0, 0.45 * args.seconds)
-                                    : std::max(1.0, 0.5 * args.seconds);
-  std::vector<uint32_t> capture;
-  std::vector<Arrival> arrivals;
-  std::vector<std::string> payloads;
-  OpenLoopResult r;
-  PhaseSummary untraced;
-  if (args.trace) {
-    std::vector<Arrival> a0;
-    std::vector<std::string> p0;
-    OpenLoopResult r0;
-    untraced = run_phase(100, spec.fixed_rate_vps, fixed_s, 0, nullptr, &r0,
-                         &a0, &p0);
-    PrintPhase("fixed-untraced", untraced, spec.fixed_rate_vps);
-    report.Phase(untraced);
-  }
-  std::string before;
-  if (args.trace) {
-    auto m = ServerMetrics(s);
-    if (!m.ok()) return 2;
-    before = *m;
-  }
-  PhaseSummary fixed = run_phase(101, spec.fixed_rate_vps, fixed_s, 0,
-                                 &capture, &r, &arrivals, &payloads);
-  PrintPhase(args.trace ? "fixed-traced" : "fixed", fixed, spec.fixed_rate_vps);
-  report.Phase(fixed);
-  std::string after;
-  if (args.trace) {
-    auto m = ServerMetrics(s);
-    if (!m.ok()) return 2;
-    after = *m;
-  }
-  CheckCaptured(report, *s.session, arrivals, payloads, capture, r);
-  auto rss = s.server->PeakRssMb();
-  Status stopped = s.server->Stop();
-  report.Check(stopped.ok(), "server shut down cleanly");
-  if (!rss.ok()) return 2;
-
-  const double p50 = Percentile(fixed.score_ms, 0.5);
-  const double p99 = Percentile(fixed.score_ms, 0.99);
-  if (!args.trace) {
-    report.Add("setup_s", "s", Median(setup_s), setup_s);
-    report.Add("peak_rss_mb", "MiB", *rss);
-    if (spec.gate_capacity) {
-      report.Add("score_capacity_vps", "1/s", capacity);
-    } else {
-      report.Info("score_capacity_vps", "1/s", capacity);
-    }
-    if (spec.gate_p50) {
-      report.Add("score_p50_ms", "ms", p50, fixed.window_p50_ms);
-    } else {
-      report.Info("score_p50_ms", "ms", p50, fixed.window_p50_ms);
-    }
-    Say("score_p99_ms is over %zu replies (%zu beyond it)",
-        fixed.score_ms.size(), fixed.score_ms.size() / 100);
-    report.Info("score_p99_ms", "ms", p99, fixed.window_p99_ms);
-    return 0;
-  }
-
-  if (!AddScoreLayers(report, *s.graph, s.store_path, spec.model,
-                      spec.vertices_per_frame, arrivals, payloads, after,
-                      p50)) {
-    return 2;
-  }
-  AddServerLayers(report, before, after);
-  const double base = Percentile(untraced.score_ms, 0.5);
-  Say("tracing overhead: score_p50 traced %.4f ms vs untraced %.4f ms -> "
-      "%+.4f ms (%+.2f%%)",
-      p50, base, p50 - base, 100.0 * (p50 - base) / base);
-  report.Add("trace.overhead_score_p50_ms", "ms", p50 - base);
-  return 0;
-}
-
 // --- workload: churn-pokec8k -----------------------------------------------------
 
 /// A chain of deltas, each valid on the graph the previous ones produced:
@@ -1146,16 +873,16 @@ GraphDelta MakeAttributeDelta(const AttributedGraph& g, Rng& rng) {
 }
 
 int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
-  const ServeSpec spec{"pokec8k", 8, 10, /*fixed_rate_vps=*/600,
-                       /*p99_limit_ms=*/0};
-  // Seconds between update frames. An update holds the executor for
-  // ~250 ms, so about one score in seven queues behind one; the score
-  // p50 stays in the unblocked mode and the p99 measures the blocking.
-  constexpr double kUpdateEvery = 2.0;
+  // Seconds between update frames: thirty updates in a 30 s run, so their
+  // p50 is steady against the spread of single updates. An update holds
+  // the executor for ~200 ms, so about one score in five queues behind
+  // one; the score p50 stays in the unblocked mode and the p99 measures
+  // the blocking.
+  constexpr double kUpdateEvery = 1.0;
   const double measure_s = std::max(2.0, args.seconds);
   const size_t updates = static_cast<size_t>(measure_s / kUpdateEvery) + 1;
 
-  auto served = SetUpServed(args, spec.model, "churn");
+  auto served = SetUpServed(args);
   if (!served.ok()) {
     std::fprintf(stderr, "perfbench: set-up failed: %s\n",
                  served.status().ToString().c_str());
@@ -1167,7 +894,7 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
   std::vector<std::string> update_payloads;
   for (const GraphDelta& d : *deltas) {
     net::UpdateRequest req;
-    req.model = spec.model;
+    req.model = kModel;
     req.mode = 1;  // kFast
     req.delta = d;
     update_payloads.push_back(net::EncodeUpdateRequest(req));
@@ -1176,7 +903,7 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
   auto warm = Call(*s.conns[0], net::Verb::kUpdate, update_payloads[0]);
   Rng warm_rng = Stream(args.seed, 1);
   if (!warm.ok() || warm->status != net::WireStatus::kOk ||
-      !WarmUp(s, spec, warm_rng).ok()) {
+      !WarmUp(s, warm_rng).ok()) {
     std::fprintf(stderr, "perfbench: warm-up update failed\n");
     return 2;
   }
@@ -1193,7 +920,7 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
     Rng rng = Stream(args.seed, phase);
     arrivals.clear();
     payloads.clear();
-    AddScoreArrivals(rng, spec, n, spec.fixed_rate_vps, seconds,
+    AddScoreArrivals(rng, n, seconds,
                      &arrivals, &payloads);
     for (double t = kUpdateEvery / 2; t < seconds && next_update < update_payloads.size();
          t += kUpdateEvery) {
@@ -1205,7 +932,7 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
       payloads.push_back(update_payloads[next_update++]);
     }
     Finalize(&arrivals);
-    OpenLoopResult r = RunOpenLoop(s.conns, arrivals, payloads, {});
+    OpenLoopResult r = RunOpenLoop(s.conns, arrivals, payloads);
     PhaseSummary sum = Summarize(arrivals, r);
     report.Phase(sum);
     return sum;
@@ -1214,13 +941,13 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
   std::string before, after;
   if (args.trace) {
     untraced = run_phase(100, measure_s / 2);
-    PrintPhase("churn-untraced", untraced, spec.fixed_rate_vps);
+    PrintPhase("churn-untraced", untraced);
     auto m = ServerMetrics(s);
     if (!m.ok()) return 2;
     before = *m;
   }
   PhaseSummary phase = run_phase(101, args.trace ? measure_s / 2 : measure_s);
-  PrintPhase(args.trace ? "churn-traced" : "churn", phase, spec.fixed_rate_vps);
+  PrintPhase(args.trace ? "churn-traced" : "churn", phase);
   Say("updates: %zu acknowledged, p50 %.3f ms, p99 %.3f ms",
       phase.update_ms.size(), Percentile(phase.update_ms, 0.5),
       Percentile(phase.update_ms, 0.99));
@@ -1233,7 +960,7 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
   // Output check: the served state against snapshot + WAL replay.
   Rng rng = Stream(args.seed, 300);
   net::ScoreRequest check;
-  check.model = spec.model;
+  check.model = kModel;
   check.k = 0;  // the full surface
   for (size_t i = 0; i < kCheckSample; ++i) {
     check.vertices.push_back(VertexId(static_cast<uint32_t>(rng.Uniform(n))));
@@ -1249,13 +976,21 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
   if (!st.ok()) return 2;
   const Status invariants = st->CheckInvariants();
   report.Check(invariants.ok(), "ModelStore::CheckInvariants: " + invariants.ToString());
-  auto wal = st->ReadWal(spec.model);
+  auto wal = st->ReadWal(kModel);
   if (!wal.ok()) return 2;
   const size_t acknowledged = 1 + phase.update_ms.size() + untraced.update_ms.size();
   report.Check(!wal->truncated && wal->deltas.size() == acknowledged,
                "WAL holds every acknowledged update");
-  // Replay onto the set-up session: it is the same deterministic mine of
-  // the same graph that the server ran from the snapshot.
+  // The reference: the model and graph snapshot as stored, mined again
+  // from that snapshot, with the WAL rolled forward in its recorded modes.
+  auto snapshot = st->Get(kModel);
+  if (!snapshot.ok() || !snapshot->graph.has_value()) return 2;
+  auto ref = engine::MiningSession::Create(
+      std::make_shared<const AttributedGraph>(std::move(*snapshot->graph)),
+      ShippedMiningOptions());
+  if (!ref.ok() || !ref->Mine().ok()) return 2;
+  report.Check(SameAStars(ref->model(), snapshot->model),
+               "a mine of the stored snapshot reproduces the stored model");
   if (args.trace) cspm::obs::MetricsRegistry::Global().Reset();
   std::vector<double> apply_ms;
   uint64_t replay_dirty = 0;
@@ -1265,7 +1000,7 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
                           : engine::UpdateMode::kExact;
     engine::UpdateStats us;
     WallTimer t;
-    const Status applied = s.session->ApplyUpdates(wal->deltas[i], mode, &us);
+    const Status applied = ref->ApplyUpdates(wal->deltas[i], mode, &us);
     apply_ms.push_back(t.ElapsedMillis());
     replay_dirty += us.dirty_vertices;
     if (!applied.ok()) {
@@ -1273,7 +1008,7 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
       break;
     }
   }
-  auto expected = s.session->ScoreBatch(check.vertices);
+  auto expected = ref->ScoreBatch(check.vertices);
   report.Check(expected.ok() && SameReply(wire->payload, *expected, 0),
                "served state bit-identical to snapshot + WAL replay");
   Say("check: %zu WAL records replayed (%llu dirty vertices), %zu vertices x "
@@ -1308,14 +1043,14 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
                  updates_replayed);
   engine::ModelRegistry registry;
   std::vector<double> swap_ms = TimeMs(7, [&] {
-    if (!s.session->Publish(registry, spec.model).ok()) std::abort();
+    if (!ref->Publish(registry, kModel).ok()) std::abort();
   });
   report.Add("engine.hot_swap_ms", "ms", Median(swap_ms), swap_ms);
   {
     engine::UpdateStats us;
     WallTimer t;
-    const GraphDelta attr = MakeAttributeDelta(s.session->graph(), rng);
-    if (!s.session->ApplyUpdates(attr, engine::UpdateMode::kFast, &us).ok()) {
+    const GraphDelta attr = MakeAttributeDelta(ref->graph(), rng);
+    if (!ref->ApplyUpdates(attr, engine::UpdateMode::kFast, &us).ok()) {
       return 2;
     }
     report.Add("engine.apply_fast_attr_ms", "ms", t.ElapsedMillis());
@@ -1326,7 +1061,7 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
   }
   std::vector<double> compile = TimeMs(5, [&] {
     auto plan = cspm::core::CompileSharedPlan(
-        s.session->model(), s.session->graph().num_attribute_values());
+        ref->model(), ref->graph().num_attribute_values());
     if (plan == nullptr) std::abort();
   });
   report.Add("cspm.plan_compile_ms", "ms", Median(compile), compile);
@@ -1334,14 +1069,14 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
   std::remove(scratch.c_str());
   auto ws = store::ModelStore::Create(scratch);
   store::StoredModel stored;
-  stored.model = s.session->model();
-  stored.dict = s.session->graph().dict();
-  stored.graph = s.session->graph();
-  if (!ws.ok() || !ws->Put(spec.model, stored).ok()) return 2;
+  stored.model = ref->model();
+  stored.dict = ref->graph().dict();
+  stored.graph = ref->graph();
+  if (!ws.ok() || !ws->Put(kModel, stored).ok()) return 2;
   std::vector<double> wal_ms;
   for (const GraphDelta& d : *deltas) {
     WallTimer t;
-    if (!ws->AppendDelta(spec.model, d, store::WalDeltaMode::kFast).ok()) return 2;
+    if (!ws->AppendDelta(kModel, d, store::WalDeltaMode::kFast).ok()) return 2;
     wal_ms.push_back(t.ElapsedMillis());
   }
   std::remove(scratch.c_str());
@@ -1349,8 +1084,7 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
   // The score path's layers, over the traced phase's score requests; its
   // ledger remainder here includes the wait behind updates.
   const double p50 = Percentile(phase.score_ms, 0.5);
-  if (!AddScoreLayers(report, *s.graph, s.store_path, spec.model,
-                      spec.vertices_per_frame, arrivals, payloads, after,
+  if (!AddScoreLayers(report, *s.graph, s.store_path, arrivals, payloads, after,
                       p50)) {
     return 2;
   }
@@ -1371,8 +1105,8 @@ int RunChurn(const Args& args, Report& report, const WallTimer& clock) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: perfbench --workload <mine-pokec8k|serve-pokec8k|"
-               "serve-dblp|churn-pokec8k> --seed N --seconds S --trace 0|1 "
+               "usage: perfbench --workload <mine-pokec8k|churn-pokec8k> "
+               "--seed N --seconds S --trace 0|1 "
                "--serve-bin PATH --work-dir DIR\n");
   return 2;
 }
@@ -1413,26 +1147,7 @@ int main(int argc, char** argv) {
   Report report;
   int rc = 0;
   if (args.workload == "mine-pokec8k") {
-    rc = RunMine(args, report, clock);
-  } else if (args.workload == "serve-pokec8k") {
-    rc = RunServe(args, report, clock,
-                  // The posting loop's speed follows the host's cache
-                  // contention, and queueing at half load doubles that in
-                  // the p50: capacity is gated, latency printed.
-                  {"pokec8k", 8, 10, /*fixed_rate_vps=*/900,
-                   /*p99_limit_ms=*/100, /*gate_capacity=*/true,
-                   /*gate_p50=*/false},
-                  /*setup_reps=*/1);
-  } else if (args.workload == "serve-dblp") {
-    rc = RunServe(args, report, clock,
-                  // Capacity here is where 4 busy threads (2 server, 2
-                  // load) run out of cores, which host contention moves
-                  // by a third between runs: latency gated, capacity
-                  // printed.
-                  {"dblp", 1, 10, /*fixed_rate_vps=*/10000,
-                   /*p99_limit_ms=*/20, /*gate_capacity=*/false,
-                   /*gate_p50=*/true},
-                  /*setup_reps=*/3);
+    rc = RunMine(args, report);
   } else if (args.workload == "churn-pokec8k") {
     rc = RunChurn(args, report, clock);
   } else {

@@ -15,7 +15,7 @@ import os
 import subprocess
 import sys
 
-WORKLOADS = ["mine-pokec8k", "serve-pokec8k", "serve-dblp", "churn-pokec8k"]
+WORKLOADS = ["mine-pokec8k", "churn-pokec8k"]
 
 
 def main():

@@ -8,7 +8,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -197,28 +196,23 @@ StatusOr<Frame> Call(Conn& conn, Verb verb, const std::string& payload) {
 }
 
 OpenLoopResult RunOpenLoop(Conns& conns, const std::vector<Arrival>& arrivals,
-                           const std::vector<std::string>& payloads,
-                           const OpenLoopOptions& options) {
+                           const std::vector<std::string>& payloads) {
   const size_t n = arrivals.size();
   std::vector<std::vector<uint32_t>> by_conn(conns.size());
   for (uint32_t i = 0; i < n; ++i) by_conn[arrivals[i].conn].push_back(i);
   std::vector<uint32_t> base(conns.size());
   for (size_t c = 0; c < conns.size(); ++c) base[c] = conns[c]->next_id;
 
-  // The sender owns `lateness`/`sent`, the receiver owns `latency`/`reply`;
+  // The sender owns `lateness`, the receiver owns `latency`/`reply`;
   // they are merged after the join.
   OpenLoopResult result;
   result.lateness_ms.assign(n, kNaN);
   result.latency_ms.assign(n, kNaN);
-  result.captured.resize(options.capture.size());
-  std::vector<uint8_t> sent(n, 0);
   std::vector<Outcome> reply(n, Outcome::kUnanswered);
   std::vector<uint8_t> replied(n, 0);
 
   std::atomic<uint64_t> sent_frames{0};
   std::atomic<uint64_t> done_frames{0};
-  std::atomic<uint64_t> sent_vertices{0};
-  std::atomic<uint64_t> done_vertices{0};
   std::atomic<bool> sender_done{false};
   std::atomic<bool> receiver_failed{false};
   std::atomic<uint64_t> drain_deadline_ns{0};
@@ -271,13 +265,6 @@ OpenLoopResult RunOpenLoop(Conns& conns, const std::vector<Arrival>& arrivals,
                            : Outcome::kError;
           result.latency_ms[idx] =
               static_cast<double>(now - arrivals[idx].due_ns) / 1e6;
-          const auto slot = std::lower_bound(options.capture.begin(),
-                                             options.capture.end(), idx);
-          if (slot != options.capture.end() && *slot == idx) {
-            result.captured[static_cast<size_t>(
-                slot - options.capture.begin())] = std::move(frame.payload);
-          }
-          done_vertices.fetch_add(arrivals[idx].vertices);
           done_frames.fetch_add(1);
         }
         frames.clear();
@@ -306,23 +293,15 @@ OpenLoopResult RunOpenLoop(Conns& conns, const std::vector<Arrival>& arrivals,
         std::this_thread::yield();
       }
     }
-    if (options.abort_outstanding_vertices > 0 &&
-        sent_vertices.load() - done_vertices.load() >
-            options.abort_outstanding_vertices) {
-      result.aborted = true;
-      break;
-    }
     Conn& conn = *conns[a.conn];
     const uint32_t id = base[a.conn] + sent_on[a.conn]++;
     result.lateness_ms[i] =
         static_cast<double>(clock.ElapsedNanos() - a.due_ns) / 1e6;
-    sent[i] = 1;
     if (!WriteAll(conn.client.fd(), EncodeRequest(a.verb, id, payloads[a.payload]))
              .ok()) {
       sent_frames.fetch_add(1);
       break;
     }
-    sent_vertices.fetch_add(a.vertices);
     sent_frames.fetch_add(1);
   }
   drain_deadline_ns = clock.ElapsedNanos() + 10'000'000'000ULL;
@@ -332,69 +311,10 @@ OpenLoopResult RunOpenLoop(Conns& conns, const std::vector<Arrival>& arrivals,
 
   result.outcome.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    result.outcome[i] = !sent[i] ? Outcome::kUnsent
-                        : replied[i] ? reply[i]
-                                     : Outcome::kUnanswered;
+    result.outcome[i] = replied[i] ? reply[i] : Outcome::kUnanswered;
     if (!replied[i]) result.latency_ms[i] = kNaN;
   }
   return result;
-}
-
-StatusOr<double> RunClosedLoop(Conns& conns,
-                               const std::vector<std::string>& payloads,
-                               uint32_t vertices_per_payload, size_t depth,
-                               double seconds, uint64_t* frames) {
-  std::vector<pollfd> pfds;
-  for (const auto& conn : conns) pfds.push_back({conn->client.fd(), POLLIN, 0});
-  std::vector<size_t> in_flight(conns.size(), 0);
-  size_t next_payload = 0;
-  *frames = 0;
-  const auto send_one = [&](size_t c) -> Status {
-    Conn& conn = *conns[c];
-    const std::string& payload = payloads[next_payload++ % payloads.size()];
-    CSPM_RETURN_IF_ERROR(WriteAll(
-        conn.client.fd(), EncodeRequest(Verb::kScore, conn.next_id++, payload)));
-    ++in_flight[c];
-    ++*frames;
-    return Status::OK();
-  };
-  for (size_t c = 0; c < conns.size(); ++c) {
-    for (size_t d = 0; d < depth; ++d) CSPM_RETURN_IF_ERROR(send_one(c));
-  }
-  cspm::WallTimer clock;
-  uint64_t ok_vertices = 0;
-  bool measuring = true;
-  double elapsed = 0.0;
-  for (;;) {
-    size_t outstanding = 0;
-    for (size_t f : in_flight) outstanding += f;
-    if (!measuring && outstanding == 0) break;
-    if (measuring && clock.ElapsedSeconds() >= seconds) {
-      measuring = false;
-      elapsed = clock.ElapsedSeconds();
-    }
-    if (::poll(pfds.data(), pfds.size(), 2) < 0 && errno != EINTR) {
-      return Status::IOError("poll failed");
-    }
-    for (size_t c = 0; c < pfds.size(); ++c) {
-      if ((pfds[c].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      CSPM_RETURN_IF_ERROR(ReadFrames(*conns[c]));
-      for (const Frame& frame : conns[c]->ready) {
-        if (frame.status != WireStatus::kOk) {
-          return Status::Internal(
-              std::string("closed-loop reply ") +
-              cspm::net::WireStatusName(frame.status));
-        }
-        --in_flight[c];
-        if (measuring) {
-          ok_vertices += vertices_per_payload;
-          CSPM_RETURN_IF_ERROR(send_one(c));
-        }
-      }
-      conns[c]->ready.clear();
-    }
-  }
-  return static_cast<double>(ok_vertices) / elapsed;
 }
 
 double SnapshotNumber(const std::string& json, const std::string& section,

@@ -1,6 +1,6 @@
 // Client side of the benchmark: the shipped cspm_serve binary run as a
-// child process, raw CSN1 load connections, and the open- and closed-loop
-// load generators. Everything here talks to the server only through the
+// child process, raw CSN1 load connections, and the open-loop load
+// generator. Everything here talks to the server only through the
 // public net/ frame and codec functions, exactly as an outside client
 // would.
 #ifndef PERFBENCH_WIRE_H_
@@ -60,7 +60,7 @@ using Conns = std::vector<std::unique_ptr<Conn>>;
 cspm::StatusOr<Conns> Connect(uint16_t port, size_t count);
 
 /// Sends one request and blocks until its reply arrives. Only for use
-/// while no open- or closed-loop phase is running on `conn`.
+/// while no open-loop phase is running on `conn`.
 cspm::StatusOr<cspm::net::Frame> Call(Conn& conn, cspm::net::Verb verb,
                                       const std::string& payload);
 
@@ -69,11 +69,12 @@ struct Arrival {
   uint64_t due_ns = 0;  ///< offset from the phase start
   uint32_t conn = 0;
   uint32_t payload = 0;  ///< index into the phase's payload table
-  uint32_t vertices = 0;  ///< score vertices carried (0 for an update)
   cspm::net::Verb verb = cspm::net::Verb::kScore;
 };
 
-enum class Outcome : uint8_t { kOk, kOverloaded, kError, kUnsent, kUnanswered };
+/// kUnanswered also covers a request never sent because its connection
+/// failed.
+enum class Outcome : uint8_t { kOk, kOverloaded, kError, kUnanswered };
 
 struct OpenLoopResult {
   /// Per arrival: what happened, reply time minus due time (ms, valid for
@@ -82,18 +83,6 @@ struct OpenLoopResult {
   std::vector<Outcome> outcome;
   std::vector<double> latency_ms;
   std::vector<double> lateness_ms;
-  /// Reply payloads of the arrivals listed in `capture`, in that order.
-  std::vector<std::string> captured;
-  bool aborted = false;  ///< the outstanding-work bound stopped the sender
-};
-
-struct OpenLoopOptions {
-  /// Stop sending once this many score vertices are unanswered (0 = never).
-  /// Capacity probes use it so a failing probe ends long before the
-  /// server's admission bound would start refusing work.
-  uint64_t abort_outstanding_vertices = 0;
-  /// Sorted arrival indices whose reply payloads are kept for checking.
-  std::vector<uint32_t> capture;
 };
 
 /// Open loop on two threads: the caller's thread sends every arrival at its
@@ -102,19 +91,7 @@ struct OpenLoopOptions {
 /// shows up as latency, and its lateness is reported separately. Replies
 /// not in 10 s after the last send count as unanswered.
 OpenLoopResult RunOpenLoop(Conns& conns, const std::vector<Arrival>& arrivals,
-                           const std::vector<std::string>& payloads,
-                           const OpenLoopOptions& options);
-
-/// Closed loop on the caller's thread: every connection keeps `depth`
-/// score frames in flight for `seconds`. Returns OK vertices per second;
-/// `frames` receives the number of frames sent. `payloads` are cycled;
-/// each carries `vertices_per_payload` vertices. Any reply but OK is an
-/// error.
-cspm::StatusOr<double> RunClosedLoop(Conns& conns,
-                                     const std::vector<std::string>& payloads,
-                                     uint32_t vertices_per_payload,
-                                     size_t depth, double seconds,
-                                     uint64_t* frames);
+                           const std::vector<std::string>& payloads);
 
 /// Reads one number out of a MetricsRegistry::SnapshotJson() document:
 /// `section` is "counters", "gauges" or "histograms"; for histograms
