@@ -20,12 +20,6 @@ CodeModel::CodeModel(const graph::AttributedGraph& g,
   }
 }
 
-double CodeModel::StCost(std::span<const AttrId> values) const {
-  double bits = 0.0;
-  for (AttrId a : values) bits += st_len_[a.index()];
-  return bits;
-}
-
 double CodeModel::LeafCodeLength(uint64_t fl, uint64_t fe) {
   return mdl::ConditionalCodeLength(fl, fe);
 }

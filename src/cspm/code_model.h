@@ -24,7 +24,13 @@ class CodeModel {
   double StCodeLength(AttrId a) const { return st_len_[a.index()]; }
 
   /// Cost of spelling a value set in ST codes (left column of CTL / CTc).
-  double StCost(std::span<const AttrId> values) const;
+  /// Inline: the seed kernel (gain.cc) prices a two-value union per
+  /// (pair, core) term with it.
+  double StCost(std::span<const AttrId> values) const {
+    double bits = 0.0;
+    for (AttrId a : values) bits += st_len_[a.index()];
+    return bits;
+  }
 
   /// Code_c of Eq. 5 for a coreset.
   double CoreCodeLength(CoreId c) const { return core_len_[c.index()]; }

@@ -2,6 +2,8 @@
 #ifndef CSPM_CSPM_GAIN_H_
 #define CSPM_CSPM_GAIN_H_
 
+#include <functional>
+
 #include "cspm/code_model.h"
 #include "cspm/inverted_database.h"
 
@@ -45,6 +47,22 @@ struct GainResult {
 /// plus the fold-into-existing-union-line extension.
 GainResult ComputeMergeGain(const InvertedDatabase& idb, const CodeModel& cm,
                             LeafsetId x, LeafsetId y);
+
+/// The CSPM-Partial seed: the gains of every pair of active leafsets of a
+/// *pre-merge* database (every interned leafset a singleton), without a
+/// pairwise intersection. Per core, in ascending core order, it counts the
+/// pairs of leaves co-occurring on each position (xy_e) and adds that
+/// core's terms with ComputeMergeGain's expressions in ComputeMergeGain's
+/// order, so each total is bit-identical to
+/// ComputeMergeGain(idb, cm, x, y).Total(policy). Calls fn(x, y, total)
+/// for every feasible pair, x < y, in the row-major order of
+/// active_leafsets() — the order a pairwise scan visits them; infeasible
+/// pairs are skipped. Scratch is bounded by a fixed number of pairs per
+/// row block and freed on return. Returns the number of pairs judged
+/// (every active pair).
+uint64_t ForEachSeedGain(
+    const InvertedDatabase& idb, const CodeModel& cm, GainPolicy policy,
+    const std::function<void(LeafsetId x, LeafsetId y, double total)>& fn);
 
 /// Computes the exact gain of *undoing* line (e, l) of a merged leafset
 /// via InvertedDatabase::SplitLine (no mutation): its positions return to

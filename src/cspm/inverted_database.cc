@@ -241,6 +241,10 @@ InvertedDatabase InvertedDatabase::Clone() const {
   return c;
 }
 
+namespace {
+
+/// Distinct sorted attribute values over the neighbours of v — the leaf
+/// values v contributes lines for (both delta patches).
 void GatherDistinctNeighbourAttrs(const graph::AttributedGraph& g, VertexId v,
                                   std::vector<AttrId>* out) {
   // One definition of "neighbourhood" across the library (scoring_plan),
@@ -249,6 +253,8 @@ void GatherDistinctNeighbourAttrs(const graph::AttributedGraph& g, VertexId v,
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
 }
+
+}  // namespace
 
 Status InvertedDatabase::ApplyDelta(const graph::AttributedGraph& old_graph,
                                     const graph::AttributedGraph& new_graph,
@@ -466,17 +472,25 @@ Status InvertedDatabase::ApplyDeltaMerged(
   vertex_coresets_.resize(n_new.index());
 
   // Per-core candidate leafsets, largest value set first then lowest id:
-  // the removal sweep and the greedy re-cover both walk these. Built
-  // once — lines erased later read as absent, and lines created later
-  // only ever hold already-processed dirty vertices, so staleness never
-  // hides a position the sweep must remove.
+  // the removal sweep and the greedy re-cover both walk these, and only
+  // under the cores a dirty vertex walks — its old coresets and its new
+  // attributes. Built once — lines erased later read as absent, and lines
+  // created later only ever hold already-processed dirty vertices, so
+  // staleness never hides a position the sweep must remove.
+  std::vector<char> core_walked(num_cores, 0);
+  for (VertexId u : dirty_vertices) {
+    if (u >= n_new) continue;  // rejected by the sweep below
+    for (CoreId c : vertex_coresets_[u.index()]) core_walked[c.index()] = 1;
+    for (AttrId a : new_graph.Attributes(u)) core_walked[a.index()] = 1;
+  }
   std::vector<std::vector<LeafsetId>> leafsets_under(num_cores);
   for (LeafsetId l : active_leafsets_) {
     for (CoreId c : lines_of_[l.index()].cores) {
-      leafsets_under[c.index()].push_back(l);
+      if (core_walked[c.index()]) leafsets_under[c.index()].push_back(l);
     }
   }
   for (std::vector<LeafsetId>& cands : leafsets_under) {
+    if (cands.empty()) continue;
     std::sort(cands.begin(), cands.end(), [this](LeafsetId a, LeafsetId b) {
       const size_t sa = leafsets_.Values(a).size();
       const size_t sb = leafsets_.Values(b).size();
@@ -543,6 +557,12 @@ Status InvertedDatabase::ApplyDeltaMerged(
   std::vector<uint32_t> needed(num_attrs_new, 0);
   uint32_t cur = 0;
 
+  // held_old[a] == cur_old while a is one of the swept vertex's old
+  // neighbour values.
+  std::vector<uint32_t> held_old(num_attrs_new, 0);
+  uint32_t cur_old = 0;
+
+  std::vector<AttrId> nbr_old;
   std::vector<AttrId> nbr_new;
   std::vector<CoreId> cores_old;
   std::vector<CoreId> cores_new;
@@ -554,10 +574,17 @@ Status InvertedDatabase::ApplyDeltaMerged(
     }
     // Remove u everywhere under its old cores. By the partition invariant
     // those lines jointly held u's old neighbour values exactly once each,
-    // so the sweep needs no old-graph adjacency.
+    // so only leafsets made of old neighbour values can hold u: the
+    // others are skipped on their first value without a line lookup.
     cores_old = vertex_coresets_[u.index()];  // copied: overwritten below
+    if (!cores_old.empty()) {
+      GatherDistinctNeighbourAttrs(old_graph, u, &nbr_old);
+      ++cur_old;
+      for (AttrId a : nbr_old) held_old[a.index()] = cur_old;
+    }
     for (CoreId c : cores_old) {
       for (LeafsetId l : leafsets_under[c.index()]) {
+        if (held_old[leafsets_.Values(l)[0].index()] != cur_old) continue;
         remove_if_present(c, l, u);
       }
     }

@@ -11,7 +11,8 @@
 // The search layer (miner / candidates / gain) consumes this class only
 // through the narrow interface below: active_leafsets / CoresOf / FindLine
 // / ForEachSharedCore / ForEachLine for iteration, MergeLeafsets for
-// mutation, and the f_e / frequency accessors for the gain formulas. Keep
+// mutation, the f_e / frequency accessors for the gain formulas, and
+// vertex_coresets for the vertex count the seed kernel sizes by. Keep
 // it that way — it is what lets the storage be swapped or sharded without
 // touching the search layer (see DESIGN.md §2).
 #ifndef CSPM_CSPM_INVERTED_DATABASE_H_
@@ -43,12 +44,6 @@ struct DeltaPatchStats {
   uint64_t positions_added = 0;
   uint64_t positions_removed = 0;
 };
-
-/// Distinct sorted attribute values over the neighbours of v — the leaf
-/// values v contributes lines for. Shared by the delta patch and the
-/// dirty-candidate collection (miner.cc).
-void GatherDistinctNeighbourAttrs(const graph::AttributedGraph& g, VertexId v,
-                                  std::vector<AttrId>* out);
 
 /// Outcome of merging the leafsets of a candidate pair.
 struct MergeOutcome {

@@ -1,17 +1,15 @@
 #include "cspm/miner.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "cspm/candidates.h"
 #include "itemset/transaction_db.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -81,7 +79,7 @@ struct SearchContext {
   const CodeModel* cm;
   MiningStats* stats;
   const WallTimer* timer;
-  /// Non-null when the gain fan-outs run thread-pooled.
+  /// Non-null when the kBasic scan runs thread-pooled.
   util::ThreadPool* pool;
 
   bool OutOfBudget() const {
@@ -156,80 +154,19 @@ BestPair ScanAllPairs(const SearchContext& ctx,
   return best;
 }
 
-// Seeds the candidate store over all active pairs, in (i, j) row-major
-// order on both the serial and pooled paths (rows are applied in order),
-// so the store's heap state never depends on threading. Cold runs (cache
-// == nullptr) compute every gain. Warm runs compute only the pairs in
-// `dirty` (all of them under all_dirty) and replay the cached gain for
-// clean pairs — sound per CollectDirtyCandidatePairs, and bit-identical
-// to a cold regeneration because iteration and insertion order match
-// exactly. `capture` (optional) receives the refreshed gain cache.
-// Returns the number of gains computed.
-uint64_t GenerateCandidates(const SearchContext& ctx,
-                            const std::unordered_map<uint64_t, double>* cache,
-                            const DirtyCandidates* dirty,
-                            CandidateStore* store, RelatedDict* rdict,
-                            std::unordered_map<uint64_t, double>* capture) {
-  const auto actives = ctx.idb->active_leafsets();  // copy: stable snapshot
-  const size_t m = actives.size();
-  auto pair_is_dirty = [&](LeafsetId x, LeafsetId y) {
-    return dirty == nullptr || dirty->all_dirty ||
-           std::binary_search(dirty->pair_keys.begin(),
-                              dirty->pair_keys.end(), CandidatePairKey(x, y));
-  };
-  auto accept = [&](LeafsetId x, LeafsetId y, double total) {
-    store->Set(x, y, total);
-    rdict->Link(x, y);
-    if (capture != nullptr) capture->emplace(CandidatePairKey(x, y), total);
-  };
-  // One pair's seed gain: freshly computed when dirty (counted), replayed
-  // from the cache when clean. False keeps the pair out of the store.
-  auto evaluate = [&](LeafsetId x, LeafsetId y, uint64_t* computations,
-                      double* total) {
-    if (!pair_is_dirty(x, y)) {
-      auto it = cache->find(CandidatePairKey(x, y));
-      if (it == cache->end()) return false;
-      *total = it->second;
-      return true;
-    }
-    GainResult gr = ComputeMergeGain(*ctx.idb, *ctx.cm, x, y);
-    ++*computations;
-    if (!gr.feasible) return false;
-    *total = gr.Total(ctx.options->gain_policy);
-    return *total > ctx.options->min_gain_bits;
-  };
-
-  if (ctx.pool == nullptr || m < 3) {
-    uint64_t computations = 0;
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = i + 1; j < m; ++j) {
-        double total = 0.0;
-        if (evaluate(actives[i], actives[j], &computations, &total)) {
-          accept(actives[i], actives[j], total);
-        }
-      }
-    }
-    return computations;
-  }
-
-  std::vector<std::vector<std::pair<LeafsetId, double>>> row_hits(m - 1);
-  std::vector<uint64_t> row_computations(m - 1, 0);
-  ctx.pool->ParallelFor(m - 1, [&](size_t i) {
-    for (size_t j = i + 1; j < m; ++j) {
-      double total = 0.0;
-      if (evaluate(actives[i], actives[j], &row_computations[i], &total)) {
-        row_hits[i].emplace_back(actives[j], total);
-      }
-    }
-  });
-  uint64_t computations = 0;
-  for (size_t i = 0; i + 1 < m; ++i) {
-    computations += row_computations[i];
-    for (const auto& [other, total] : row_hits[i]) {
-      accept(actives[i], other, total);
-    }
-  }
-  return computations;
+// Seeds the candidate store from a pre-merge database with every feasible
+// above-threshold pair, in (i, j) row-major order over the active
+// leafsets, so the store's heap state — and with it every tie-break of the
+// merge loop — matches a pairwise scan. Returns the number of pairs judged.
+uint64_t GenerateCandidates(const SearchContext& ctx, CandidateStore* store,
+                            RelatedDict* rdict) {
+  return ForEachSeedGain(
+      *ctx.idb, *ctx.cm, ctx.options->gain_policy,
+      [&](LeafsetId x, LeafsetId y, double total) {
+        if (total <= ctx.options->min_gain_bits) return;
+        store->Set(x, y, total);
+        rdict->Link(x, y);
+      });
 }
 
 void RecordIteration(const SearchContext& ctx, uint64_t iteration,
@@ -382,107 +319,54 @@ void RunPartialLoop(const SearchContext& ctx, CandidateStore& store,
 // Extracts the a-stars of a final database into the model, sorted by
 // (code length, core values, leaf values) — shared by every mine/resume
 // flavour so the published model shape never depends on the path taken.
+// Lines are ranked by small keys first and each a-star is built once, in
+// its final slot: sorting the a-stars themselves would move two vectors
+// per swap. std::sort permutes by comparison outcomes alone, so the order
+// is the one sorting the a-stars would give.
 void ExtractAStars(const CspmOptions& options, const InvertedDatabase& idb,
                    const CodeModel& cm, CspmModel* model) {
+  struct LineKey {
+    double code_length_bits;
+    CoreId core;
+    LeafsetId leafset;
+    uint64_t frequency;
+  };
+  std::vector<LineKey> keys;
+  keys.reserve(idb.num_lines());
   idb.ForEachLine([&](CoreId e, LeafsetId l, PosListView positions) {
-    AStar s;
-    s.core_values = idb.CoresetValues(e);
-    s.leaf_values = idb.leafsets().Values(l);
-    s.frequency = positions.size();
-    s.core_total = idb.CoreLineTotal(e);
-    s.coreset_frequency = idb.CoresetFrequency(e);
-    s.code_length_bits =
-        cm.CoreCodeLength(e) +
-        CodeModel::LeafCodeLength(s.frequency, s.core_total);
-    if (options.include_singleton_leafsets || s.leaf_values.size() >= 2) {
-      model->astars.push_back(std::move(s));
+    if (!options.include_singleton_leafsets &&
+        idb.leafsets().Values(l).size() < 2) {
+      return;
     }
+    keys.push_back({cm.CoreCodeLength(e) +
+                        CodeModel::LeafCodeLength(positions.size(),
+                                                  idb.CoreLineTotal(e)),
+                    e, l, positions.size()});
   });
-  std::sort(model->astars.begin(), model->astars.end(),
-            [](const AStar& a, const AStar& b) {
-              if (a.code_length_bits != b.code_length_bits) {
-                return a.code_length_bits < b.code_length_bits;
-              }
-              if (a.core_values != b.core_values) {
-                return a.core_values < b.core_values;
-              }
-              return a.leaf_values < b.leaf_values;
-            });
+  std::sort(keys.begin(), keys.end(), [&](const LineKey& a, const LineKey& b) {
+    if (a.code_length_bits != b.code_length_bits) {
+      return a.code_length_bits < b.code_length_bits;
+    }
+    const std::vector<AttrId>& core_a = idb.CoresetValues(a.core);
+    const std::vector<AttrId>& core_b = idb.CoresetValues(b.core);
+    if (core_a != core_b) return core_a < core_b;
+    return idb.leafsets().Values(a.leafset) < idb.leafsets().Values(b.leafset);
+  });
+  CSPM_DCHECK(model->astars.empty());
+  model->astars.resize(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const LineKey& k = keys[i];
+    AStar& s = model->astars[i];
+    s.core_values = idb.CoresetValues(k.core);
+    s.leaf_values = idb.leafsets().Values(k.leafset);
+    s.frequency = k.frequency;
+    s.core_total = idb.CoreLineTotal(k.core);
+    s.coreset_frequency = idb.CoresetFrequency(k.core);
+    s.code_length_bits = k.code_length_bits;
+  }
 }
 
 }  // namespace
-
-std::vector<uint64_t> CollectDirtyCandidatePairs(
-    const graph::AttributedGraph& old_graph,
-    const graph::AttributedGraph& new_graph,
-    std::span<const graph::VertexId> dirty_vertices,
-    std::span<const CoreId> dirty_cores) {
-  const size_t m = new_graph.num_attribute_values();
-  // Pair marks: a dense m^2 bit matrix up to ~8 MB (m <= 8192), a hash
-  // set of pair keys beyond — so the cost stays bounded by the touched
-  // neighbourhoods, not by the attribute vocabulary squared.
-  const bool dense = m <= 8192;
-  std::vector<uint64_t> bits(dense ? (m * m + 63) / 64 : 0, 0);
-  std::unordered_set<uint64_t> sparse;
-  std::vector<char> vertex_done(new_graph.num_vertices().index(), 0);
-  std::vector<AttrId> attrs;  // distinct neighbour attrs of one vertex
-
-  auto mark_pairs = [&]() {
-    for (size_t i = 0; i < attrs.size(); ++i) {
-      for (size_t j = i + 1; j < attrs.size(); ++j) {
-        if (dense) {
-          const size_t bit = attrs[i].index() * m + attrs[j].index();
-          bits[bit >> 6] |= uint64_t{1} << (bit & 63);
-        } else {
-          sparse.insert(CandidatePairKey(LeafsetId(attrs[i].value()),
-                                         LeafsetId(attrs[j].value())));
-        }
-      }
-    }
-  };
-
-  // New state: every vertex carrying a dirty core contributes its
-  // neighbourhood co-occurrence pairs (its position sits in the
-  // intersection of both members' lines under that core, so f_e and/or
-  // line changes reach the pair's gain).
-  for (CoreId c : dirty_cores) {
-    // Single-value-coreset mode: core id c is attribute value c.
-    for (VertexId v : new_graph.VerticesWithAttribute(AttrId(c.value()))) {
-      if (vertex_done[v.index()]) continue;
-      vertex_done[v.index()] = 1;
-      GatherDistinctNeighbourAttrs(new_graph, v, &attrs);
-      mark_pairs();
-    }
-  }
-  // Old state: only dirty vertices' contributions differ from the new
-  // state (clean vertices have identical lines), so their pre-delta
-  // neighbourhoods complete the set.
-  const VertexId n_old = old_graph.num_vertices();
-  for (VertexId u : dirty_vertices) {
-    if (u >= n_old) continue;
-    GatherDistinctNeighbourAttrs(old_graph, u, &attrs);
-    mark_pairs();
-  }
-
-  std::vector<uint64_t> keys;
-  if (dense) {
-    // Word-skip scan: cost proportional to marked pairs, not m^2 bits.
-    for (size_t w = 0; w < bits.size(); ++w) {
-      uint64_t word = bits[w];
-      while (word != 0) {
-        const size_t idx = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        word &= word - 1;
-        keys.push_back(
-            CandidatePairKey(LeafsetId(static_cast<uint32_t>(idx / m)),
-                             LeafsetId(static_cast<uint32_t>(idx % m))));
-      }
-    }
-  } else {
-    keys.assign(sparse.begin(), sparse.end());
-    std::sort(keys.begin(), keys.end());
-  }
-  return keys;
-}
 
 StatusOr<CspmModel> CspmMiner::Mine(const graph::AttributedGraph& g) const {
   CSPM_ASSIGN_OR_RETURN(MineArtifacts artifacts, MineWithArtifacts(g));
@@ -506,7 +390,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineWithWarmState(
 
 StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeWarm(
     const graph::AttributedGraph& g, WarmState* warm,
-    const DirtyCandidates& dirty, uint64_t* reseed_computations) const {
+    uint64_t* reseed_computations) const {
   if (options_.multi_value_coresets) {
     return Status::FailedPrecondition(
         "ResumeWarm needs single-value coresets");
@@ -515,8 +399,8 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeWarm(
   // The pristine patched database stays in `warm` for the next update;
   // the search mutates a clone.
   InvertedDatabase idb = warm->initial_db.Clone();
-  return SearchAndExtract(g, std::move(idb), warm, &dirty,
-                          reseed_computations, timer);
+  return SearchAndExtract(g, std::move(idb), warm, reseed_computations,
+                          timer);
 }
 
 StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
@@ -637,10 +521,6 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
     const std::vector<LeafsetId>& actives = idb.active_leafsets();
     const size_t m = actives.size();
     const size_t num_leafsets = idb.leafsets().size();
-    std::vector<std::vector<LeafsetId>> under(num_cores);
-    for (LeafsetId l : actives) {
-      for (CoreId e : idb.CoresOf(l)) under[e.index()].push_back(l);
-    }
     std::vector<char> is_source(num_leafsets, 0);
     std::vector<LeafsetId> sources;
     auto add_source = [&](LeafsetId l) {
@@ -672,6 +552,12 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
       for (LeafsetId l : split_fed) add_source(l);
     }
     std::sort(sources.begin(), sources.end());
+    // Partners are sources too, so only sources are indexed under their
+    // cores — ascending, like the sources themselves.
+    std::vector<std::vector<LeafsetId>> under(num_cores);
+    for (LeafsetId l : sources) {
+      for (CoreId e : idb.CoresOf(l)) under[e.index()].push_back(l);
+    }
     std::vector<uint32_t> seen(num_leafsets, 0);
     uint32_t epoch = 0;
     std::vector<LeafsetId> partners;
@@ -682,8 +568,8 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
         for (LeafsetId b : under[e.index()]) {
           if (seen[b.index()] == epoch) continue;
           seen[b.index()] = epoch;
-          // Both-source pairs only, judged once from their smaller member.
-          if (!is_source[b.index()] || b <= t) continue;
+          // Each pair is judged once, from its smaller member.
+          if (b <= t) continue;
           partners.push_back(b);
         }
       }
@@ -738,18 +624,14 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::MineImpl(
   }();
   if (!idb_or.ok()) return idb_or.status();
   InvertedDatabase idb = std::move(idb_or).value();
-  if (warm != nullptr) {
-    warm->initial_db = idb.Clone();
-    warm->initial_gains.clear();
-  }
-  return SearchAndExtract(g, std::move(idb), warm, /*dirty=*/nullptr,
+  if (warm != nullptr) warm->initial_db = idb.Clone();
+  return SearchAndExtract(g, std::move(idb), warm,
                           /*reseed_computations=*/nullptr, timer);
 }
 
 StatusOr<CspmMiner::MineArtifacts> CspmMiner::SearchAndExtract(
     const graph::AttributedGraph& g, InvertedDatabase idb, WarmState* warm,
-    const DirtyCandidates* dirty, uint64_t* reseed_computations,
-    const WallTimer& timer) const {
+    uint64_t* reseed_computations, const WallTimer& timer) const {
   const CodeModel cm(g, idb);
 
   CspmModel model;
@@ -757,31 +639,26 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::SearchAndExtract(
   model.stats.initial_leafsets = idb.num_active_leafsets();
   model.stats.initial_lines = idb.num_lines();
 
-  std::unique_ptr<util::ThreadPool> pool;
-  const uint32_t threads = options_.num_threads == 0
-                               ? static_cast<uint32_t>(
-                                     util::ThreadPool::AutoThreads())
-                               : options_.num_threads;
-  if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
-
-  SearchContext ctx{&options_, &idb, &cm, &model.stats, &timer, pool.get()};
   if (options_.strategy == SearchStrategy::kBasic) {
-    RunBasicSearch(ctx);
+    std::unique_ptr<util::ThreadPool> pool;
+    const uint32_t threads = options_.num_threads == 0
+                                 ? static_cast<uint32_t>(
+                                       util::ThreadPool::AutoThreads())
+                                 : options_.num_threads;
+    if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
+    RunBasicSearch(
+        SearchContext{&options_, &idb, &cm, &model.stats, &timer, pool.get()});
   } else {
+    SearchContext ctx{&options_, &idb,  &cm,
+                      &model.stats, &timer, /*pool=*/nullptr};
     CandidateStore store;
     RelatedDict rdict;
     const uint64_t possible = PossiblePairs(idb.num_active_leafsets());
-    std::unordered_map<uint64_t, double> next_gains;
     const uint64_t computations = [&] {
       obs::TraceSpan candidate_gen_span("candidate_gen");
-      return GenerateCandidates(
-          ctx, dirty != nullptr ? &warm->initial_gains : nullptr, dirty,
-          &store, &rdict, warm != nullptr ? &next_gains : nullptr);
+      return GenerateCandidates(ctx, &store, &rdict);
     }();
-    if (warm != nullptr) warm->initial_gains = std::move(next_gains);
-    if (dirty != nullptr && reseed_computations != nullptr) {
-      *reseed_computations = computations;
-    }
+    if (reseed_computations != nullptr) *reseed_computations = computations;
     RecordIteration(ctx, /*iteration=*/0, computations, possible,
                     /*accepted_gain=*/0.0);
     RunPartialLoop(ctx, store, rdict);
