@@ -18,10 +18,10 @@
 //    stay bit-identical to cold, which forces a full seed and merge-loop
 //    replay — it saves only the database rebuild (see DESIGN.md §9). The
 //    fast mode continues from the final mined model (patch the merged
-//    database, undo flipped merges, re-evaluate only dirty-core pairs),
-//    trading bit-identity for a DL-within-ε contract —
-//    this is the ratio the CI gate holds to >= 5x at 1% dirty, alongside
-//    the dl_ratio_vs_cold quality counter it holds to <= 1.01.
+//    database, undo flipped merges, re-judge only the repair-scope pairs
+//    whose members both moved), trading bit-identity for a DL-within-ε
+//    contract — this is the ratio the CI gate holds to >= 5x at 1% dirty,
+//    alongside the dl_ratio_vs_cold quality counter it holds to <= 1.01.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>

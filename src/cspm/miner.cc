@@ -405,7 +405,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeWarm(
 
 StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
     const graph::AttributedGraph& g, WarmState* warm,
-    const DeltaPatchStats& patch, bool all_dirty, bool want_database,
+    const DeltaPatchStats& patch, bool want_database,
     FastResumeStats* fast_stats) const {
   if (options_.multi_value_coresets) {
     return Status::FailedPrecondition(
@@ -436,11 +436,9 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
                     &model.stats, &timer, /*pool=*/nullptr};
 
   const size_t num_cores = idb.num_coresets();
-  std::vector<char> core_dirty(num_cores, all_dirty ? 1 : 0);
-  if (!all_dirty) {
-    for (CoreId c : patch.dirty_cores) {
-      if (c.index() < num_cores) core_dirty[c.index()] = 1;
-    }
+  std::vector<char> core_dirty(num_cores, 0);
+  for (CoreId c : patch.dirty_cores) {
+    if (c.index() < num_cores) core_dirty[c.index()] = 1;
   }
 
   // Undo pass: unmerge leafsets whose continued existence stopped paying
@@ -518,8 +516,7 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
   RelatedDict rdict;
   {
     obs::TraceSpan reseed_span("reseed");
-    const std::vector<LeafsetId>& actives = idb.active_leafsets();
-    const size_t m = actives.size();
+    const size_t m = idb.num_active_leafsets();
     const size_t num_leafsets = idb.leafsets().size();
     std::vector<char> is_source(num_leafsets, 0);
     std::vector<LeafsetId> sources;
@@ -528,29 +525,25 @@ StatusOr<CspmMiner::MineArtifacts> CspmMiner::ResumeFast(
       is_source[l.index()] = 1;
       sources.push_back(l);
     };
-    if (all_dirty) {
-      for (LeafsetId l : actives) add_source(l);
-    } else {
-      // A touched leafset is stale in proportion to the share of its
-      // positions that moved: gains shift by O(moved / mass) log-ratios.
-      // Below 1/kStaleMassRatio the drift is deep inside the DL-ε budget
-      // and skipping the leafset is what keeps the seed small — the
-      // popular leafsets (huge mass, a position or two moved) are
-      // precisely the ones with thousands of co-occurring partners.
-      constexpr uint64_t kStaleMassRatio = 16;
-      for (size_t i = 0; i < patch.touched_leafsets.size(); ++i) {
-        const LeafsetId l = patch.touched_leafsets[i];
-        if (idb.CoresOf(l).empty()) continue;  // emptied or unmerged away
-        uint64_t mass = 0;
-        for (CoreId e : idb.CoresOf(l)) mass += idb.FindLine(e, l).size();
-        const uint64_t moved = i < patch.touched_position_moves.size()
-                                   ? patch.touched_position_moves[i]
-                                   : mass;
-        if (moved * kStaleMassRatio < mass) continue;
-        add_source(l);
-      }
-      for (LeafsetId l : split_fed) add_source(l);
+    // A touched leafset is stale in proportion to the share of its
+    // positions that moved: gains shift by O(moved / mass) log-ratios.
+    // Below 1/kStaleMassRatio the drift is deep inside the DL-ε budget
+    // and skipping the leafset is what keeps the seed small — the
+    // popular leafsets (huge mass, a position or two moved) are
+    // precisely the ones with thousands of co-occurring partners.
+    constexpr uint64_t kStaleMassRatio = 16;
+    for (size_t i = 0; i < patch.touched_leafsets.size(); ++i) {
+      const LeafsetId l = patch.touched_leafsets[i];
+      if (idb.CoresOf(l).empty()) continue;  // emptied or unmerged away
+      uint64_t mass = 0;
+      for (CoreId e : idb.CoresOf(l)) mass += idb.FindLine(e, l).size();
+      const uint64_t moved = i < patch.touched_position_moves.size()
+                                 ? patch.touched_position_moves[i]
+                                 : mass;
+      if (moved * kStaleMassRatio < mass) continue;
+      add_source(l);
     }
+    for (LeafsetId l : split_fed) add_source(l);
     std::sort(sources.begin(), sources.end());
     // Partners are sources too, so only sources are indexed under their
     // cores — ascending, like the sources themselves.

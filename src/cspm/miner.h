@@ -118,28 +118,29 @@ class CspmMiner {
                                      WarmState* warm,
                                      uint64_t* reseed_computations) const;
 
-  /// Continue-from-final-model re-mine (DESIGN.md §9): `warm->final_db`
-  /// must already be patched to `g` via ApplyDeltaMerged, whose
-  /// DeltaPatchStats is `patch`. Unmerges leafsets (under dirty cores)
-  /// whose global gain went negative under the delta (to a fixpoint),
-  /// then seeds the candidate store with repair-scope pairs — both
-  /// members stale, i.e. a meaningful share of their positions moved
-  /// (patch.touched_leafsets weighted by touched_position_moves) or the
-  /// unmerge pass fed them — and runs the ordinary partial merge loop.
-  /// Pairs with an up-to-date member are NOT re-evaluated even when a
-  /// shared core's totals drifted: those second-order shifts are exactly
-  /// what the DL-ε contract absorbs (anything broader degenerates into a
-  /// near-cold seed, because dirty cores are popular attributes). The
-  /// result is path-dependent: its description length tracks a cold mine
-  /// within a small ε but the model need not be bit-identical. The
-  /// database is repaired in place; on error it is left partially patched
-  /// and the caller must discard the warm state. `artifacts.inverted_db`
-  /// is only populated when `want_database` is set (the clone is pure
-  /// overhead otherwise). kPartial + single-value coresets only.
+  /// Continue-from-final-model re-mine (DESIGN.md §9): `warm->final_db` must
+  /// already be patched to `g` via ApplyDeltaMerged, whose DeltaPatchStats is
+  /// `patch`, for a delta that left every attribute occurrence count unchanged
+  /// (an attribute change moves every code length; the session re-mines those
+  /// exactly). Unmerges leafsets (under dirty cores) whose global gain went
+  /// negative under the delta (to a fixpoint), then seeds the candidate store
+  /// with repair-scope pairs — both members stale, i.e. a meaningful share of
+  /// their positions moved (patch.touched_leafsets weighted by
+  /// touched_position_moves) or the unmerge pass fed them — and runs the
+  /// ordinary partial merge loop. Pairs with an up-to-date member are NOT
+  /// re-evaluated even when a shared core's totals drifted: those second-order
+  /// shifts are exactly what the DL-ε contract absorbs (anything broader
+  /// degenerates into a near-cold seed, because dirty cores are popular
+  /// attributes). The result is path-dependent: its description length tracks a
+  /// cold mine within a small ε but the model need not be bit-identical. The
+  /// database is repaired in place; on error it is left partially patched and
+  /// the caller must discard the warm state. `artifacts.inverted_db` is only
+  /// populated when `want_database` is set (the clone is pure overhead
+  /// otherwise). kPartial + single-value coresets only.
   StatusOr<MineArtifacts> ResumeFast(const graph::AttributedGraph& g,
                                      WarmState* warm,
                                      const DeltaPatchStats& patch,
-                                     bool all_dirty, bool want_database,
+                                     bool want_database,
                                      FastResumeStats* fast_stats) const;
 
  private:

@@ -29,6 +29,13 @@ ServableModel FromStored(store::StoredModel stored,
   return m;
 }
 
+/// Scoring needs the compiled plan: there is no second, per-vertex path.
+Status RequirePlan(const ServableModel& m) {
+  if (m.plan != nullptr) return Status::OK();
+  return Status::FailedPrecondition(
+      "model has no compiled plan; register it or call CompilePlan()");
+}
+
 /// Plan cache key: store path and model name, NUL-joined (page paths
 /// cannot contain NUL, so the pair is unambiguous).
 std::string PlanCacheKey(const std::string& store_path,
@@ -48,19 +55,11 @@ void ServableModel::CompilePlan() {
   plan = core::CompileSharedPlan(model, dict.size());
 }
 
-core::AttributeScores ServableModel::ScoreWithNeighbourhood(
-    const std::vector<graph::AttrId>& neighbourhood_attrs,
-    const core::ScoringOptions& options) const {
-  if (plan != nullptr) return plan->Score(neighbourhood_attrs, options);
-  return core::ScoreAttributesWithNeighbourhood(dict.size(), model,
-                                                neighbourhood_attrs, options);
-}
-
 StatusOr<core::AttributeScores> ServableModel::ScoreVertex(
     graph::VertexId v, const core::ScoringOptions& options) const {
+  CSPM_RETURN_IF_ERROR(RequirePlan(*this));
   if (graph == nullptr) {
-    return Status::FailedPrecondition(
-        "model has no graph snapshot; use ScoreWithNeighbourhood");
+    return Status::FailedPrecondition("model has no graph snapshot");
   }
   if (v >= graph->num_vertices()) {
     return Status::OutOfRange(
@@ -73,28 +72,23 @@ StatusOr<core::AttributeScores> ServableModel::ScoreVertex(
         "values vs %zu in the graph",
         dict.size(), graph->num_attribute_values()));
   }
-  if (plan != nullptr) {
-    std::vector<graph::AttrId> neighbourhood;
-    core::GatherNeighbourhoodAttrs(*graph, v, &neighbourhood);
-    return plan->Score(neighbourhood, options);
-  }
-  return core::ScoreAttributes(*graph, model, v, options);
+  std::vector<graph::AttrId> neighbourhood;
+  core::GatherNeighbourhoodAttrs(*graph, v, &neighbourhood);
+  return plan->Score(neighbourhood, options);
 }
 
 StatusOr<ServingEngine> ServableModel::Serve(ServingOptions options) const {
+  CSPM_RETURN_IF_ERROR(RequirePlan(*this));
   if (graph == nullptr) {
     return Status::FailedPrecondition(
         "model has no graph snapshot; batch serving needs one");
   }
-  auto p = plan;
-  if (p == nullptr) p = core::CompileSharedPlan(model, dict.size());
   // Shared-owned instances (registry handles) are retained by the engine;
   // lock() is null for stack instances, whose graph shared_ptr keeps the
   // snapshot alive on its own.
   std::shared_ptr<const void> keep_alive = weak_from_this().lock();
   if (keep_alive == nullptr) keep_alive = graph;
-  return ServingEngine::Create(*graph, std::move(p), options,
-                               std::move(keep_alive));
+  return ServingEngine::Create(*graph, plan, options, std::move(keep_alive));
 }
 
 Status ModelRegistry::LoadStore(const std::string& path) {

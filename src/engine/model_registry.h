@@ -56,31 +56,26 @@ struct ServableModel : std::enable_shared_from_this<ServableModel> {
   /// alive on their own. Null when the model has no snapshot.
   std::shared_ptr<const graph::AttributedGraph> graph;
   /// Compiled from `model` against `dict`; built by CompilePlan() (the
-  /// registry calls it on Put/Load). Scoring falls back to the legacy
-  /// per-vertex path when null — results are bit-identical either way.
+  /// registry calls it on Put/Load, so every handle carries one). All
+  /// scoring goes through it.
   std::shared_ptr<const core::ScoringPlan> plan;
 
   /// Compiles `plan` from the current model + dict (no-op when already
   /// compiled).
   void CompilePlan();
 
-  /// Algorithm 5 against an explicit neighbour-attribute set (ids in this
-  /// model's dictionary). Works without a graph snapshot.
-  core::AttributeScores ScoreWithNeighbourhood(
-      const std::vector<graph::AttrId>& neighbourhood_attrs,
-      const core::ScoringOptions& options = {}) const;
-
   /// Scores vertex `v` of the embedded graph snapshot. Clean Status (not
-  /// a crash) for a missing snapshot, an out-of-range vertex, or a
-  /// dictionary that does not cover the snapshot's attribute space.
+  /// a crash) for a missing plan or snapshot, an out-of-range vertex, or
+  /// a dictionary that does not cover the snapshot's attribute space.
   StatusOr<core::AttributeScores> ScoreVertex(
       graph::VertexId v, const core::ScoringOptions& options = {}) const;
 
   /// A batch engine over the embedded graph snapshot, sharing this
-  /// model's plan. A shared-owned ServableModel (every registry Handle)
-  /// is retained by the engine itself, so the engine stays valid across
-  /// hot reloads and removals even if the Handle is dropped; only a
-  /// stack-allocated ServableModel must outlive its engines.
+  /// model's plan (FailedPrecondition without one). A shared-owned
+  /// ServableModel (every registry Handle) is retained by the engine
+  /// itself, so the engine stays valid across hot reloads and removals
+  /// even if the Handle is dropped; only a stack-allocated ServableModel
+  /// must outlive its engines.
   StatusOr<ServingEngine> Serve(ServingOptions options = {}) const;
 };
 

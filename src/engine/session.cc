@@ -197,9 +197,11 @@ Status MiningSession::ApplyUpdates(const graph::GraphDelta& delta,
 
   // The continue-from-final-model path (DESIGN.md §9). Eligibility is
   // checked before any state is mutated: the fast contract only covers
-  // kPartial (its convergence argument needs the drained store).
+  // kPartial (its convergence argument needs the drained store), and an
+  // attribute change moves every code length, so it re-mines exactly.
   if (mode == UpdateMode::kFast &&
       impl_->options.strategy == Search::kPartial &&
+      !applied.attributes_changed &&
       impl_->warm->final_db.num_coresets() > 0) {
     core::DeltaPatchStats patch;
     Status patched = [&] {
@@ -216,7 +218,6 @@ Status MiningSession::ApplyUpdates(const graph::GraphDelta& delta,
       obs::TraceSpan resume_span("resume");
       return miner.ResumeFast(
           *new_graph, impl_->warm.get(), patch,
-          /*all_dirty=*/applied.attributes_changed,
           /*want_database=*/impl_->options.keep_database, &fast);
     }();
     if (!artifacts_or.ok()) {
@@ -316,13 +317,6 @@ AttributeScores MiningSession::Score(graph::VertexId v,
   std::vector<graph::AttrId> neighbourhood;
   core::GatherNeighbourhoodAttrs(*impl_->graph, v, &neighbourhood);
   return impl_->plan->Score(neighbourhood, options);
-}
-
-AttributeScores MiningSession::ScoreWithNeighbourhood(
-    const std::vector<graph::AttrId>& neighbourhood_attrs,
-    const ScoringOptions& options) const {
-  CSPM_CHECK_MSG(impl_->has_model, "Mine() or LoadModel() first");
-  return impl_->plan->Score(neighbourhood_attrs, options);
 }
 
 StatusOr<std::vector<AttributeScores>> MiningSession::ScoreBatch(
@@ -465,6 +459,44 @@ StatusOr<CspmModel> MineModel(const graph::AttributedGraph& g,
   // Runs the miner directly rather than through a session: the model moves
   // straight out instead of being copied from session state.
   return core::CspmMiner(ToCoreOptions(options)).Mine(g);
+}
+
+StatusOr<StoreReplay> ReplayFromStore(store::ModelStore& store,
+                                      const std::string& name) {
+  CSPM_ASSIGN_OR_RETURN(store::StoredModel stored, store.Get(name));
+  if (!stored.graph.has_value()) {
+    return Status::FailedPrecondition(
+        "record '" + name +
+        "' has no graph snapshot, so it cannot be replayed; save it again "
+        "with one (cspm_shell: save " + name + ")");
+  }
+  CSPM_ASSIGN_OR_RETURN(store::ModelStore::WalReplay wal, store.ReadWal(name));
+  MiningOptions options;
+  options.record_iteration_stats = false;
+  options.enable_updates = true;
+  CSPM_ASSIGN_OR_RETURN(
+      MiningSession session,
+      MiningSession::Create(std::make_shared<const graph::AttributedGraph>(
+                                std::move(*stored.graph)),
+                            options));
+  CSPM_RETURN_IF_ERROR(session.Mine());
+  for (size_t i = 0; i < wal.deltas.size(); ++i) {
+    const UpdateMode mode = wal.modes[i] == store::WalDeltaMode::kFast
+                                ? UpdateMode::kFast
+                                : UpdateMode::kExact;
+    CSPM_RETURN_IF_ERROR(session.ApplyUpdates(wal.deltas[i], mode));
+  }
+  return StoreReplay{std::move(session), wal.deltas.size(), wal.dropped};
+}
+
+Status CheckpointReplay(store::ModelStore& store, const std::string& name,
+                        const StoreReplay& replay) {
+  if (replay.dropped == 0) return Status::OK();
+  store::StoredModel checkpoint;
+  checkpoint.model = replay.session.model();
+  checkpoint.dict = replay.session.graph().dict();
+  checkpoint.graph = replay.session.graph();
+  return store.Put(name, checkpoint);
 }
 
 }  // namespace cspm::engine

@@ -25,6 +25,10 @@
 #include "itemset/slim.h"
 #include "util/status.h"
 
+namespace cspm::store {
+class ModelStore;
+}  // namespace cspm::store
+
 namespace cspm::engine {
 
 // Model-level result vocabulary, re-exported for consumers.
@@ -96,8 +100,9 @@ struct MiningOptions {
   /// Keep single-leaf-value a-stars in the returned model.
   bool include_singleton_leafsets = true;
 
-  /// Threads for the gain-evaluation fan-outs. 1 = serial (default),
+  /// Threads for the kBasic regenerate-all scan. 1 = serial (default),
   /// 0 = one per hardware core. Parallel runs are bit-identical to serial.
+  /// kPartial ignores it: its seed is one serial counting kernel.
   uint32_t num_threads = 1;
 
   /// Retain the final inverted database so VerifyLossless() can run. Off by
@@ -119,11 +124,12 @@ enum class UpdateMode {
   /// and the PR 5 contract).
   kExact,
   /// Continue from the *final* mined model: patch its merged database,
-  /// undo merges whose gain went negative, re-evaluate only dirty-core
+  /// undo merges whose gain went negative, re-judge only the repair-scope
   /// pairs, and merge from there. Path-dependent — the description length
-  /// tracks a cold mine within a small ε but the bits may differ. Falls
-  /// back to kExact behaviour when warm state is missing or the strategy
-  /// is not kPartial.
+  /// tracks a cold mine within a small ε but the bits may differ. Runs as
+  /// kExact when the delta changes attributes (every code length moves,
+  /// so nothing of the final model can be kept), when warm state is
+  /// missing, or when the strategy is not kPartial.
   kFast,
 };
 
@@ -139,7 +145,7 @@ struct UpdateStats {
   /// disabled, or multi-value coresets).
   bool warm_path = false;
   /// True when the continue-from-final-model path actually ran (kFast
-  /// requested and eligible).
+  /// requested and eligible: kPartial, warm state, no attribute change).
   bool fast_path = false;
   /// kFast only: merged lines undone because the delta flipped their gain.
   uint64_t split_undos = 0;
@@ -177,14 +183,13 @@ class MiningSession {
   /// Applies a graph delta transactionally and re-mines. With
   /// MiningOptions::enable_updates the re-mine is warm: under
   /// UpdateMode::kExact (the default) the pre-merge inverted database is
-  /// patched in place of the 3-pass rebuild and only candidate pairs
-  /// involving dirty leafsets are re-evaluated — the resulting model is
-  /// bit-identical to a cold re-mine of the mutated graph; under
-  /// UpdateMode::kFast the re-mine continues from the final mined model
-  /// instead (see UpdateMode). The session then owns the mutated graph;
-  /// previously built ServingEngines keep scoring the old
-  /// graph+model+plan triple until they are dropped, while new
-  /// Serve()/Score calls see the update (hot swap). On error nothing
+  /// patched in place of the 3-pass rebuild, then seeded and searched as a
+  /// cold mine would — the resulting model is bit-identical to a cold
+  /// re-mine of the mutated graph; under UpdateMode::kFast the re-mine
+  /// continues from the final mined model instead (see UpdateMode). The
+  /// session then owns the mutated graph; previously built ServingEngines
+  /// keep scoring the old graph+model+plan triple until they are dropped,
+  /// while new Serve()/Score calls see the update (hot swap). On error nothing
   /// changes (though the warm state may be dropped, downgrading later
   /// updates to cold re-mines).
   Status ApplyUpdates(const graph::GraphDelta& delta,
@@ -215,12 +220,6 @@ class MiningSession {
   /// Per-attribute-value scores for vertex v from its neighbourhood.
   AttributeScores Score(graph::VertexId v,
                         const ScoringOptions& options = {}) const;
-
-  /// Same, against an explicit neighbour-attribute set (used when the
-  /// graph's own attributes are partially masked).
-  AttributeScores ScoreWithNeighbourhood(
-      const std::vector<graph::AttrId>& neighbourhood_attrs,
-      const ScoringOptions& options = {}) const;
 
   /// Batch scoring through a one-shot ServingEngine. Output slot i holds
   /// the scores of vertices[i] at any thread count. Callers scoring many
@@ -282,6 +281,35 @@ class MiningSession {
 /// One-shot convenience: Create + Mine, returning the model.
 StatusOr<CspmModel> MineModel(const graph::AttributedGraph& g,
                               const MiningOptions& options = {});
+
+/// A live session rebuilt from a store record by ReplayFromStore.
+struct StoreReplay {
+  MiningSession session;
+  /// WAL records rolled forward.
+  size_t deltas = 0;
+  /// Unreadable WAL tail records dropped; the session holds the valid
+  /// prefix. The store still holds the dropped records until
+  /// CheckpointReplay compacts them away.
+  size_t dropped = 0;
+};
+
+/// Rebuilds the acknowledged state of store record `name`, the one replay
+/// path of the shell, the server and the client: mines the record's graph
+/// snapshot (record_iteration_stats=false, enable_updates=true, as every
+/// live session does), then rolls its WAL forward, each delta in the mode
+/// it was recorded with — a fast update's model is path-dependent, so
+/// reproducing the state means reproducing its path. Reads the store and
+/// never writes it, so a reader may replay a store another process
+/// serves. FailedPrecondition when the record has no graph snapshot.
+StatusOr<StoreReplay> ReplayFromStore(store::ModelStore& store,
+                                      const std::string& name);
+
+/// When `replay` dropped an unreadable WAL tail, re-Puts its salvaged
+/// state as record `name`'s new snapshot, which compacts the WAL, so later
+/// appends cannot land behind the dropped records; otherwise does nothing.
+/// Writes the store: only its one writer (the shell, the server) calls it.
+Status CheckpointReplay(store::ModelStore& store, const std::string& name,
+                        const StoreReplay& replay);
 
 }  // namespace cspm::engine
 

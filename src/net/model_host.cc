@@ -26,60 +26,22 @@ StatusOr<std::unique_ptr<ModelHost>> ModelHost::Open(
     }
     // Pending deltas: the record alone is stale. Rebuild the acknowledged
     // state exactly as `cspm_shell replay` would.
-    CSPM_RETURN_IF_ERROR(host->ReplayModel(info.name));
+    CSPM_RETURN_IF_ERROR(host->EnsureLive(info.name));
   }
   return host;
 }
 
-Status ModelHost::ReplayModel(const std::string& model) {
-  CSPM_ASSIGN_OR_RETURN(store::StoredModel stored, store_->Get(model));
-  if (!stored.graph.has_value()) {
-    return Status::FailedPrecondition(
-        "model '" + model +
-        "' has pending WAL records but no graph snapshot — cannot replay; "
-        "re-save it with a snapshot (cspm_shell: save " + model + ")");
-  }
-  CSPM_ASSIGN_OR_RETURN(store::ModelStore::WalReplay wal,
-                        store_->ReadWal(model));
-  engine::MiningOptions opts;
-  opts.record_iteration_stats = false;
-  opts.enable_updates = true;
-  CSPM_ASSIGN_OR_RETURN(
-      engine::MiningSession session,
-      engine::MiningSession::Create(
-          std::make_shared<const graph::AttributedGraph>(
-              std::move(*stored.graph)),
-          opts));
-  CSPM_RETURN_IF_ERROR(session.Mine());
-  // Roll each delta forward in the mode it originally ran with: a fast
-  // update's model is path-dependent, so reproducing the acknowledged
-  // state means reproducing its path.
-  for (size_t i = 0; i < wal.deltas.size(); ++i) {
-    const engine::UpdateMode mode = wal.modes[i] == store::WalDeltaMode::kFast
-                                        ? engine::UpdateMode::kFast
-                                        : engine::UpdateMode::kExact;
-    CSPM_RETURN_IF_ERROR(session.ApplyUpdates(wal.deltas[i], mode, nullptr));
-  }
-  if (wal.truncated) {
-    // Checkpoint the salvaged prefix so later updates do not append after
-    // unreadable records (mirrors the shell's replay command).
-    store::StoredModel checkpoint;
-    checkpoint.model = session.model();
-    checkpoint.dict = session.graph().dict();
-    checkpoint.graph = session.graph();
-    CSPM_RETURN_IF_ERROR(store_->Put(model, checkpoint));
-  }
-  CSPM_RETURN_IF_ERROR(session.Publish(registry_, model).status());
-  sessions_.insert_or_assign(model, std::move(session));
-  return Status::OK();
-}
-
 Status ModelHost::EnsureLive(const std::string& model) {
   if (sessions_.find(model) != sessions_.end()) return Status::OK();
-  // First update to a model served straight off its record: mining from
-  // the snapshot is deterministic, so the session's model is bit-identical
-  // to the record the registry is already serving.
-  return ReplayModel(model);
+  // Mining from the snapshot is deterministic, so with no pending WAL the
+  // session's model is bit-identical to the record the registry is
+  // already serving.
+  CSPM_ASSIGN_OR_RETURN(engine::StoreReplay replay,
+                        engine::ReplayFromStore(*store_, model));
+  CSPM_RETURN_IF_ERROR(engine::CheckpointReplay(*store_, model, replay));
+  CSPM_RETURN_IF_ERROR(replay.session.Publish(registry_, model).status());
+  sessions_.insert_or_assign(model, std::move(replay.session));
+  return Status::OK();
 }
 
 Status ModelHost::ValidateScore(

@@ -5,10 +5,11 @@
 //
 // Open() loads every cataloged model. A model with no pending WAL loads
 // through ModelRegistry::LoadModel (mmap plan section, microseconds); a
-// model with pending WAL records is rebuilt the way `cspm_shell replay`
-// does — deterministic Mine() from the snapshot, then each delta rolled
-// forward in its recorded mode — so the served model reflects every
-// update that was acknowledged before a crash (DESIGN.md §9, §13).
+// model with pending WAL records is rebuilt by engine::ReplayFromStore,
+// the replay `cspm_shell replay` runs too — deterministic Mine() from the
+// snapshot, then each delta rolled forward in its recorded mode — so the
+// served model reflects every update that was acknowledged before a crash
+// (DESIGN.md §9, §13).
 //
 // Threading contract (enforced by the server, documented here):
 //  - List() / ValidateScore() are safe from any thread: they only touch
@@ -87,12 +88,11 @@ class ModelHost {
       : store_(std::make_unique<store::ModelStore>(std::move(store))),
         options_(options) {}
 
-  /// Mines a live session for `model` from its snapshot and rolls the WAL
-  /// forward (the replay path). Publishes the result.
-  Status ReplayModel(const std::string& model);
-
-  /// Ensures a live MiningSession exists for `model` (first update to a
-  /// model that was served straight off its record).
+  /// Ensures a live MiningSession exists for `model`: on first use it is
+  /// rebuilt by engine::ReplayFromStore (snapshot mine + WAL roll-forward),
+  /// checkpointed by engine::CheckpointReplay if its WAL tail was torn, and
+  /// published. Runs at Open for models with pending WAL records, and
+  /// on the first update to a model served straight off its record.
   Status EnsureLive(const std::string& model);
 
   /// The cached engine for `model`, rebuilt when the registry handle

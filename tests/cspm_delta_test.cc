@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cspm/code_model.h"
@@ -422,21 +424,29 @@ TEST(ApplyUpdatesTest, InvalidDeltaLeavesSessionUntouched) {
 
 // --- fast (continue-from-final-model) updates -------------------------------
 
-/// Mines warm, applies `deltas` in fast mode, and asserts the DL-ε
-/// contract: the session's final description length stays within 1% of a
-/// cold mine of the final mutated graph. (It may be *better* — the repair
-/// re-judges neighbourhoods the partial heuristic never revisits — hence
-/// the generous lower bound.)
-void ExpectFastDlWithinEpsilon(const AttributedGraph& g,
-                               const std::vector<GraphDelta>& deltas) {
+/// Mines warm and applies `deltas` in fast mode. A delta that leaves
+/// every attribute count alone runs the fast path; one that changes
+/// attributes moves every code length and runs exactly instead
+/// (fast_path false). The final model is then checked against a cold mine
+/// of the final mutated graph: bit-identical when the last delta changed
+/// attributes, otherwise within the DL-ε contract — its description
+/// length within 1% of cold. (It may be *better* — the repair re-judges
+/// neighbourhoods the partial heuristic never revisits — hence the
+/// generous lower bound.)
+void ExpectFastUpdatesMatchCold(const AttributedGraph& g,
+                                const std::vector<GraphDelta>& deltas) {
   auto session = std::move(engine::MiningSession::Create(g, UpdatableOptions()))
                      .value();
   ASSERT_TRUE(session.Mine().ok());
   engine::UpdateStats stats;
+  bool last_changed_attributes = false;
   for (const GraphDelta& delta : deltas) {
+    auto applied = graph::ApplyDelta(session.graph(), delta);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    last_changed_attributes = applied->attributes_changed;
     Status st = session.ApplyUpdates(delta, engine::UpdateMode::kFast, &stats);
     ASSERT_TRUE(st.ok()) << st.ToString();
-    EXPECT_TRUE(stats.fast_path);
+    EXPECT_EQ(stats.fast_path, !last_changed_attributes);
     EXPECT_TRUE(stats.warm_path);
     EXPECT_GT(stats.dl_before_bits, 0.0);
     EXPECT_GT(stats.dl_after_bits, 0.0);
@@ -447,6 +457,11 @@ void ExpectFastDlWithinEpsilon(const AttributedGraph& g,
   ASSERT_TRUE(cold_or.ok());
   engine::MiningSession cold = std::move(cold_or).value();
   ASSERT_TRUE(cold.Mine().ok());
+  if (last_changed_attributes) {
+    EXPECT_EQ(session.SerializeModel(), cold.SerializeModel());
+    EXPECT_EQ(session.stats().final_dl_bits, cold.stats().final_dl_bits);
+    return;
+  }
   const double ratio =
       session.stats().final_dl_bits / cold.stats().final_dl_bits;
   EXPECT_LE(ratio, 1.01) << "fast model DL drifted above the ε contract";
@@ -456,37 +471,39 @@ void ExpectFastDlWithinEpsilon(const AttributedGraph& g,
 TEST(FastUpdateTest, EdgeDeltaDlWithinEpsilon) {
   for (uint64_t seed : {1u, 4u}) {
     AttributedGraph g = SmallCommunityGraph(seed);
-    ExpectFastDlWithinEpsilon(g, {RandomEdgeDelta(g, 8, seed + 10)});
+    ExpectFastUpdatesMatchCold(g, {RandomEdgeDelta(g, 8, seed + 10)});
   }
   AttributedGraph dblp = std::move(datasets::MakeDblpLike(2, 300)).value();
-  ExpectFastDlWithinEpsilon(dblp, {RandomEdgeDelta(dblp, 6, 11)});
+  ExpectFastUpdatesMatchCold(dblp, {RandomEdgeDelta(dblp, 6, 11)});
 }
 
-TEST(FastUpdateTest, AttributeDeltaDlWithinEpsilon) {
-  // Attribute changes force the all-dirty fallback inside the fast seed
-  // (every gain input may have moved with the code model); the DL-ε
-  // contract must hold through it.
+TEST(FastUpdateTest, AttributeDeltaMinesExactly) {
+  // An attribute change moves every code length, so nothing of the final
+  // model carries over: a kFast request re-mines exactly, bit-identical
+  // to a cold mine.
   AttributedGraph g = SmallCommunityGraph(2);
   GraphDelta delta;
   delta.SetAttribute(VertexId(3), "brand-new-value");
   delta.ClearAttribute(VertexId(0),
                        g.dict().Name(g.Attributes(VertexId(0))[0]));
-  ExpectFastDlWithinEpsilon(g, {delta});
+  ExpectFastUpdatesMatchCold(g, {delta});
 }
 
-TEST(FastUpdateTest, AddVertexWithEdgesDlWithinEpsilon) {
+TEST(FastUpdateTest, AddVertexWithEdgesMinesExactly) {
+  // The added vertex carries attributes, so this is an attribute change.
   AttributedGraph g = SmallCommunityGraph(5);
   GraphDelta delta;
   delta.AddVertex(
       {g.dict().Name(graph::AttrId(0)), g.dict().Name(graph::AttrId(1))});
   delta.AddEdge(g.num_vertices(), VertexId(0));
   delta.AddEdge(g.num_vertices(), VertexId(17));
-  ExpectFastDlWithinEpsilon(g, {delta});
+  ExpectFastUpdatesMatchCold(g, {delta});
 }
 
-TEST(FastUpdateTest, SequentialFastUpdatesDlWithinEpsilon) {
-  // Each fast update repairs final_db in place; the next one continues
-  // from the repaired state, so the ε bound must survive chaining.
+TEST(FastUpdateTest, SequentialFastUpdatesMatchCold) {
+  // The edge delta repairs final_db in place; the attribute deltas after
+  // it re-mine exactly, which must rebuild the pre-merge database the
+  // fast update left stale and end bit-identical to a cold mine.
   AttributedGraph g = SmallCommunityGraph(6);
   std::vector<GraphDelta> deltas;
   deltas.push_back(RandomEdgeDelta(g, 4, 21));
@@ -500,7 +517,7 @@ TEST(FastUpdateTest, SequentialFastUpdatesDlWithinEpsilon) {
     d3.ClearAttribute(VertexId(7), "late-value");
     deltas.push_back(d3);
   }
-  ExpectFastDlWithinEpsilon(g, deltas);
+  ExpectFastUpdatesMatchCold(g, deltas);
 }
 
 TEST(FastUpdateTest, RemoveLastEdgeOfStarDlWithinEpsilon) {
@@ -516,7 +533,7 @@ TEST(FastUpdateTest, RemoveLastEdgeOfStarDlWithinEpsilon) {
   AttributedGraph g = std::move(std::move(b).Build()).value();
   GraphDelta delta;
   delta.RemoveEdge(VertexId(0), VertexId(1));
-  ExpectFastDlWithinEpsilon(g, {delta});
+  ExpectFastUpdatesMatchCold(g, {delta});
 }
 
 TEST(FastUpdateTest, ExactUpdateAfterFastRebuildsBitIdentity) {
@@ -750,15 +767,18 @@ TEST(WalReplayTest, CrashTruncatedTailRecoversPrefixBitIdentical) {
   EXPECT_EQ(replay->dropped, 1u);
   ASSERT_EQ(replay->deltas.size(), 1u);
 
-  auto stored = std::move(store.Get("default")).value();
-  ASSERT_TRUE(stored.graph.has_value());
-  AttributedGraph snapshot = std::move(*stored.graph);
-  auto session =
-      std::move(engine::MiningSession::Create(snapshot, UpdatableOptions()))
-          .value();
-  ASSERT_TRUE(session.Mine().ok());
-  for (const GraphDelta& delta : replay->deltas) {
-    ASSERT_TRUE(session.ApplyUpdates(delta, nullptr).ok());
+  auto replayed = engine::ReplayFromStore(store, "default");
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed->deltas, 1u);
+  EXPECT_EQ(replayed->dropped, 1u);
+  const engine::MiningSession& session = replayed->session;
+
+  // Replay only reads: the torn store file is byte-for-byte as it was.
+  {
+    std::ifstream in(path, std::ios::binary);
+    const std::string unchanged((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+    EXPECT_TRUE(unchanged == bytes);
   }
 
   // Bit-identical to a cold re-mine of the mutated graph.
@@ -769,6 +789,85 @@ TEST(WalReplayTest, CrashTruncatedTailRecoversPrefixBitIdentical) {
   ASSERT_TRUE(cold.Mine().ok());
   EXPECT_EQ(session.SerializeModel(), cold.SerializeModel());
   EXPECT_EQ(session.stats().final_dl_bits, cold.stats().final_dl_bits);
+
+  // Checkpointing the salvaged state drops the torn record for good; the
+  // snapshot now carries d1.
+  ASSERT_TRUE(engine::CheckpointReplay(store, "default", *replayed).ok());
+  auto after = std::move(store.ReadWal("default")).value();
+  EXPECT_FALSE(after.truncated);
+  EXPECT_TRUE(after.deltas.empty());
+  auto again = std::move(engine::ReplayFromStore(store, "default")).value();
+  EXPECT_EQ(again.deltas, 0u);
+  EXPECT_EQ(again.session.SerializeModel(), cold.SerializeModel());
+}
+
+// The live update sequence (ApplyUpdates, then AppendDelta in the mode
+// that ran) and ReplayFromStore must end in the same model, bit for bit,
+// across exact, fast and attribute deltas.
+TEST(WalReplayTest, ReplayFromStoreMatchesLiveSession) {
+  const std::string path = ::testing::TempDir() + "/cspm_wal_live.cspm";
+  std::remove(path.c_str());
+  AttributedGraph g = SmallCommunityGraph(15);
+  engine::MiningOptions live_options = UpdatableOptions();
+  live_options.record_iteration_stats = false;  // as every live session
+  auto session =
+      std::move(engine::MiningSession::Create(g, live_options)).value();
+  ASSERT_TRUE(session.Mine().ok());
+  engine::SaveModelOptions save;
+  save.include_graph = true;
+  save.model_name = "live";
+  ASSERT_TRUE(session.SaveModel(path, save).ok());
+  auto store = std::move(store::ModelStore::Open(path)).value();
+
+  GraphDelta attribute;
+  attribute.SetAttribute(VertexId(9), "replayed-value");
+  // (mode, edge-rewire seed); seed 0 stands for the attribute delta.
+  const std::vector<std::pair<engine::UpdateMode, uint64_t>> steps = {
+      {engine::UpdateMode::kExact, 81},
+      {engine::UpdateMode::kFast, 82},
+      {engine::UpdateMode::kFast, 83},
+      {engine::UpdateMode::kFast, 0},
+      {engine::UpdateMode::kFast, 84},
+      {engine::UpdateMode::kExact, 85},
+      {engine::UpdateMode::kFast, 86},
+  };
+  size_t fast_runs = 0;
+  for (const auto& [mode, seed] : steps) {
+    const GraphDelta delta =
+        seed == 0 ? attribute : RandomEdgeDelta(session.graph(), 3, seed);
+    engine::UpdateStats stats;
+    ASSERT_TRUE(session.ApplyUpdates(delta, mode, &stats).ok());
+    fast_runs += stats.fast_path ? 1 : 0;
+    ASSERT_TRUE(store
+                    .AppendDelta("live", delta,
+                                 stats.fast_path ? store::WalDeltaMode::kFast
+                                                 : store::WalDeltaMode::kExact)
+                    .ok());
+  }
+  EXPECT_EQ(fast_runs, 4u);  // the attribute delta ran exactly
+
+  auto replayed = engine::ReplayFromStore(store, "live");
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed->deltas, steps.size());
+  EXPECT_EQ(replayed->dropped, 0u);
+  EXPECT_EQ(replayed->session.SerializeModel(), session.SerializeModel());
+  const double live_dl = session.stats().final_dl_bits;
+  const double replay_dl = replayed->session.stats().final_dl_bits;
+  EXPECT_EQ(std::memcmp(&live_dl, &replay_dl, sizeof(double)), 0);
+}
+
+TEST(WalReplayTest, ReplayFromStoreNeedsGraphSnapshot) {
+  const std::string path = ::testing::TempDir() + "/cspm_wal_nograph.cspm";
+  std::remove(path.c_str());
+  AttributedGraph g = SmallCommunityGraph(16);
+  auto session = std::move(engine::MiningSession::Create(g, UpdatableOptions()))
+                     .value();
+  ASSERT_TRUE(session.Mine().ok());
+  ASSERT_TRUE(session.SaveModel(path).ok());  // no graph snapshot
+  auto store = std::move(store::ModelStore::Open(path)).value();
+  auto replayed = engine::ReplayFromStore(store, "default");
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(WalReplayTest, AppendDeltaRecordsModePerRecord) {

@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "engine/scoring.h"
+#include "cspm/scoring.h"
 #include "graph/generators.h"
 #include "testing_util.h"
 
@@ -57,16 +57,16 @@ TEST(MiningSession, OptionsReachTheSearch) {
   EXPECT_TRUE(MineModel(g, quiet).value().stats.per_iteration.empty());
 }
 
-TEST(MiningSession, ScoreMatchesScoringFacade) {
+TEST(MiningSession, ScoreMatchesScoringOracle) {
   auto g = SmallRandomGraph(11);
   auto session = std::move(MiningSession::Create(g)).value();
   ASSERT_TRUE(session.Mine().ok());
   for (uint32_t raw : {0u, 5u, 17u}) {
     const graph::VertexId v(raw);
     AttributeScores via_session = session.Score(v);
-    AttributeScores via_facade = engine::ScoreAttributes(g, session.model(), v);
-    EXPECT_EQ(via_session.raw, via_facade.raw);
-    EXPECT_EQ(via_session.normalized, via_facade.normalized);
+    AttributeScores via_oracle = core::ScoreAttributes(g, session.model(), v);
+    EXPECT_EQ(via_session.raw, via_oracle.raw);
+    EXPECT_EQ(via_session.normalized, via_oracle.normalized);
   }
 }
 

@@ -113,6 +113,25 @@ TEST(ModelRegistry, ScoreVertexNeedsGraphSnapshot) {
   EXPECT_EQ(out_of_range.status().code(), StatusCode::kOutOfRange);
 }
 
+TEST(ModelRegistry, ScoringWithoutPlanIsFailedPrecondition) {
+  // Registration always compiles a plan; a hand-built instance that never
+  // called CompilePlan() gets a clean Status, not a second scoring path.
+  auto g = PaperExampleGraph();
+  ServableModel m;
+  m.model = MineModel(g).value();
+  m.dict = g.dict();
+  m.graph = std::make_shared<const graph::AttributedGraph>(g);
+  auto scores = m.ScoreVertex(graph::VertexId(0));
+  ASSERT_FALSE(scores.ok());
+  EXPECT_EQ(scores.status().code(), StatusCode::kFailedPrecondition);
+  auto engine = m.Serve();
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition);
+  m.CompilePlan();
+  EXPECT_TRUE(m.ScoreVertex(graph::VertexId(0)).ok());
+  EXPECT_TRUE(m.Serve().ok());
+}
+
 TEST(ModelRegistry, PutRecompilesPlanForMutatedModel) {
   ModelRegistry registry;
   auto g = PaperExampleGraph();

@@ -1,9 +1,9 @@
 // cspm_client: command-line driver for a running cspm_serve (CSN1
 // protocol, docs/PROTOCOL.md). One subcommand per verb, plus
 // `verify-scores` — the cross-process bit-identity checker: it rebuilds
-// the served model state locally (snapshot + WAL replay, exactly as the
-// server did) and compares every wire score against an in-process
-// ScoreBatch, bit for bit.
+// the served model state locally (engine::ReplayFromStore, the same
+// snapshot + WAL replay the server runs) and compares every wire score
+// against an in-process ScoreBatch, bit for bit.
 //
 //   cspm_client <addr:port> ping
 //   cspm_client <addr:port> list
@@ -17,6 +17,7 @@
 // commits keep concurrent readers consistent) — `update` to learn the
 // current graph shape so its random edge rewires are valid, and
 // `verify-scores` to reproduce the model state the server is serving.
+// Neither writes it: the server is the store's one writer.
 
 #include <cinttypes>
 #include <cstdio>
@@ -186,34 +187,21 @@ Status CmdVerifyScores(cspm::net::Client& client,
   if (args.size() > 2 && !ParseUint32(args[2], &count)) {
     return Status::InvalidArgument("bad count '" + args[2] + "'");
   }
-  // Rebuild the state the server serves, the way the server built it:
-  // deterministic mine from the snapshot, then the WAL rolled forward in
-  // its recorded modes.
+  // Rebuild the state the server serves, the way the server built it.
+  // Read-only: the server is the store's one writer.
   CSPM_ASSIGN_OR_RETURN(cspm::store::ModelStore store,
                         cspm::store::ModelStore::Open(store_path));
-  CSPM_ASSIGN_OR_RETURN(cspm::store::StoredModel stored, store.Get(model));
-  if (!stored.graph.has_value()) {
-    return Status::FailedPrecondition("model '" + model +
-                                      "' has no graph snapshot");
+  CSPM_ASSIGN_OR_RETURN(cspm::engine::StoreReplay replay,
+                        cspm::engine::ReplayFromStore(store, model));
+  if (replay.dropped > 0) {
+    // A tail this reader cannot decode may still be state the server
+    // acknowledged, so the local replay is no reference to compare with.
+    return Status::FailedPrecondition(cspm::StrFormat(
+        "WAL of '%s' has %zu record(s) this client cannot read; the "
+        "replayed prefix is not the served state",
+        model.c_str(), replay.dropped));
   }
-  CSPM_ASSIGN_OR_RETURN(cspm::store::ModelStore::WalReplay wal,
-                        store.ReadWal(model));
-  cspm::engine::MiningOptions opts;
-  opts.record_iteration_stats = false;
-  opts.enable_updates = true;
-  CSPM_ASSIGN_OR_RETURN(cspm::engine::MiningSession session,
-                        cspm::engine::MiningSession::Create(
-                            std::make_shared<const cspm::graph::AttributedGraph>(
-                                std::move(*stored.graph)),
-                            opts));
-  CSPM_RETURN_IF_ERROR(session.Mine());
-  for (size_t i = 0; i < wal.deltas.size(); ++i) {
-    const cspm::engine::UpdateMode mode =
-        wal.modes[i] == cspm::store::WalDeltaMode::kFast
-            ? cspm::engine::UpdateMode::kFast
-            : cspm::engine::UpdateMode::kExact;
-    CSPM_RETURN_IF_ERROR(session.ApplyUpdates(wal.deltas[i], mode, nullptr));
-  }
+  const cspm::engine::MiningSession& session = replay.session;
   const uint32_t n = session.graph().num_vertices().value();
   if (n == 0) return Status::FailedPrecondition("empty graph");
   cspm::net::ScoreRequest request;

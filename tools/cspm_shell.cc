@@ -180,8 +180,18 @@ Status CmdOpen(Shell& sh, const std::vector<std::string>& args) {
   return Status::OK();
 }
 
+/// Publishes the live session's model to the registry under `name`
+/// (hot-swapping any previous handle) and makes it current.
+Status PublishSession(Shell& sh, const std::string& name) {
+  CSPM_ASSIGN_OR_RETURN(sh.current, sh.session->Publish(sh.registry, name));
+  sh.session_handle = sh.current;
+  sh.current_name = name;
+  sh.session_name = name;
+  return Status::OK();
+}
+
 /// (Re)creates the live session over `graph`, mines, and publishes the
-/// result to the registry under `name` (hot-swapping any previous handle).
+/// result under `name`.
 Status MineAndPublish(Shell& sh, graph::AttributedGraph graph,
                       const std::string& name) {
   sh.session.reset();
@@ -193,13 +203,7 @@ Status MineAndPublish(Shell& sh, graph::AttributedGraph graph,
   if (!session_or.ok()) return session_or.status();
   sh.session.emplace(std::move(session_or).value());
   CSPM_RETURN_IF_ERROR(sh.session->Mine());
-  auto handle_or = sh.session->Publish(sh.registry, name);
-  if (!handle_or.ok()) return handle_or.status();
-  sh.current = std::move(handle_or).value();
-  sh.session_handle = sh.current;
-  sh.current_name = name;
-  sh.session_name = name;
-  return Status::OK();
+  return PublishSession(sh, name);
 }
 
 Status CmdMine(Shell& sh, const std::vector<std::string>& args) {
@@ -290,11 +294,7 @@ Status CmdUpdate(Shell& sh, const std::vector<std::string>& args) {
   }
   // Hot swap: in-flight batches finish on the old handle's triple; the
   // next score command sees the updated model.
-  auto handle_or = sh.session->Publish(sh.registry, sh.session_name);
-  if (!handle_or.ok()) return handle_or.status();
-  sh.current = std::move(handle_or).value();
-  sh.session_handle = sh.current;
-  sh.current_name = sh.session_name;
+  CSPM_RETURN_IF_ERROR(PublishSession(sh, sh.session_name));
   const auto& m = sh.current->model;
   const char* mode_ran = stats.fast_path   ? "fast warm"
                          : stats.warm_path ? "exact warm"
@@ -315,51 +315,23 @@ Status CmdUpdate(Shell& sh, const std::vector<std::string>& args) {
 Status CmdReplay(Shell& sh, const std::vector<std::string>& args) {
   if (args.size() != 2) return Status::InvalidArgument("usage: replay <name>");
   CSPM_RETURN_IF_ERROR(RequireStore(sh));
-  CSPM_ASSIGN_OR_RETURN(store::StoredModel stored,
-                        sh.store->Get(args[1]));
-  if (!stored.graph.has_value()) {
-    return Status::FailedPrecondition(
-        "record '" + args[1] +
-        "' has no graph snapshot; save one to enable replay");
-  }
-  CSPM_ASSIGN_OR_RETURN(store::ModelStore::WalReplay wal,
-                        sh.store->ReadWal(args[1]));
-  // Rebuild the snapshot model (deterministic), then roll the WAL
-  // forward, each delta in the mode it was originally applied with — a
-  // fast update's model is path-dependent, so reproducing the session
-  // means reproducing its path.
-  CSPM_RETURN_IF_ERROR(
-      MineAndPublish(sh, std::move(*stored.graph), args[1]));
-  for (size_t i = 0; i < wal.deltas.size(); ++i) {
-    const engine::UpdateMode mode =
-        wal.modes[i] == store::WalDeltaMode::kFast ? engine::UpdateMode::kFast
-                                                   : engine::UpdateMode::kExact;
-    CSPM_RETURN_IF_ERROR(sh.session->ApplyUpdates(wal.deltas[i], mode,
-                                                  nullptr));
-  }
-  auto handle_or = sh.session->Publish(sh.registry, args[1]);
-  if (!handle_or.ok()) return handle_or.status();
-  sh.current = std::move(handle_or).value();
-  sh.session_handle = sh.current;
-  if (wal.truncated) {
-    // Checkpoint the salvaged state: re-Put the record (which compacts
-    // the WAL) so the unreadable tail records are dropped for good —
-    // otherwise later updates would append after them and be silently
-    // lost at the next replay.
-    store::StoredModel checkpoint;
-    checkpoint.model = sh.current->model;
-    checkpoint.dict = sh.current->dict;
-    checkpoint.graph = *sh.current->graph;
-    CSPM_RETURN_IF_ERROR(sh.store->Put(args[1], checkpoint));
+  CSPM_ASSIGN_OR_RETURN(engine::StoreReplay replay,
+                        engine::ReplayFromStore(*sh.store, args[1]));
+  CSPM_RETURN_IF_ERROR(engine::CheckpointReplay(*sh.store, args[1], replay));
+  if (replay.dropped > 0) {
+    // The checkpoint rewrote the record's plan section.
+    sh.registry.InvalidateCachedPlan(sh.store->path(), args[1]);
     std::printf(
         "warning: WAL tail unreadable, %zu record(s) dropped — replayed "
         "the valid prefix and checkpointed it as the new snapshot\n",
-        wal.dropped);
+        replay.dropped);
   }
+  sh.session.emplace(std::move(replay.session));
+  CSPM_RETURN_IF_ERROR(PublishSession(sh, args[1]));
   const auto& m = sh.current->model;
   std::printf(
       "replayed '%s': snapshot + %zu delta(s) -> %u vertices, %s\n",
-      args[1].c_str(), wal.deltas.size(),
+      args[1].c_str(), replay.deltas,
       sh.current->graph->num_vertices().value(),
       DlSummary(m.astars.size(), m.stats.initial_dl_bits,
                 m.stats.final_dl_bits)
